@@ -82,17 +82,10 @@ class BitString:
     def to01(self) -> str:
         return "".join("1" if (self.value >> i) & 1 else "0" for i in range(self.n))
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.n))
-
     def hamming(self, other: "BitString") -> int:
         if self.n != other.n:
             raise ValueError("length mismatch")
         return (self.value ^ other.value).bit_count()
-
-    def with_value(self, value: int) -> "BitString":
-        """Same length, different backing integer."""
-        return BitString(self.n, value)
 
     # -- dunders -----------------------------------------------------
 

@@ -26,9 +26,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,10 +82,29 @@ class ConfigError(ValueError):
     """Unparseable or invalid experiment configuration."""
 
 
-_SO_KEYS = ("lam", "p", "beta", "f_var", "f_oll", "mu", "p_c", "diversity")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# algorithm knob -> (type test, what the error message asks for)
+_SO_FIELDS = {
+    "lam": (_is_int, "an integer"),
+    "p": (lambda v: v is None or _is_num(v), "a number or null"),
+    "beta": (_is_num, "a finite number"),
+    "f_var": (_is_num, "a finite number"),
+    "f_oll": (_is_num, "a finite number"),
+    "mu": (_is_int, "an integer"),
+    "p_c": (_is_num, "a finite number"),
+    "diversity": (lambda v: isinstance(v, bool), "true or false"),
+}
 _KNOWN_KEYS = frozenset(("problem", "n", "m", "algo", "algos", "runs",
                          "budget", "seed", "pop_size", "out",
-                         "checkpoints") + _SO_KEYS)
+                         "checkpoints") + tuple(_SO_FIELDS))
 
 
 @dataclass
@@ -161,6 +182,8 @@ def load_config(path) -> ExperimentConfig:
     problem = data.get("problem")
     if problem is None:
         raise ConfigError(f"{path}: 'problem' is required")
+    if not all(_is_int(data[k]) for k in ("n", "m") if k in data):
+        raise ConfigError(f"{path}: n and m must be integers")
     if isinstance(problem, dict):
         try:
             problem = spec_from_dict(problem)
@@ -176,8 +199,6 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: 'n' is required")
         n = data["n"]
         m = data.get("m", 1)
-        if not (isinstance(n, int) and isinstance(m, int)):
-            raise ConfigError(f"{path}: n and m must be integers")
         try:
             if problem in suite_ids():
                 make_suite_instance(problem, n, m)
@@ -192,35 +213,43 @@ def load_config(path) -> ExperimentConfig:
     if algo not in VARIANTS:
         raise ConfigError(f"{path}: unknown algo {algo!r}; "
                           f"valid: {', '.join(VARIANTS)}")
-    algos = tuple(data.get("algos", ()))
+    algos = data.get("algos", [])
+    if not (isinstance(algos, list) and all(isinstance(a, str) for a in algos)):
+        raise ConfigError(f"{path}: algos must be a list of algorithm names")
+    algos = tuple(algos)
     for a in algos:
         if a not in MULTI_RUNNERS:
             raise ConfigError(f"{path}: unknown multi-objective algo {a!r}; "
                               f"valid: {', '.join(MULTI_ORDER)}")
 
     runs = data.get("runs", 50)
-    if not isinstance(runs, int) or runs < 1:
+    if not _is_int(runs) or runs < 1:
         raise ConfigError(f"{path}: runs must be a positive integer")
     budget = data.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 1):
+    if budget is not None and (not _is_int(budget) or budget < 1):
         raise ConfigError(f"{path}: budget must be a positive integer")
     seed = data.get("seed", 1)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError(f"{path}: seed must be an integer")
     pop_size = data.get("pop_size")
-    if pop_size is not None and (not isinstance(pop_size, int) or pop_size < 2):
+    if pop_size is not None and (not _is_int(pop_size) or pop_size < 2):
         raise ConfigError(f"{path}: pop_size must be an integer >= 2")
+    out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"{path}: out must be a string")
     checkpoints = data.get("checkpoints")
     if checkpoints is not None:
-        cps = tuple(checkpoints)
-        if (not cps or any(not isinstance(c, int) or c < 1 for c in cps)
-                or list(cps) != sorted(set(cps))):
+        if (not isinstance(checkpoints, list) or not checkpoints
+                or any(not _is_int(c) or c < 1 for c in checkpoints)
+                or checkpoints != sorted(set(checkpoints))):
             raise ConfigError(f"{path}: checkpoints must be strictly "
                               f"increasing positive integers")
-        checkpoints = cps
+        checkpoints = tuple(checkpoints)
 
-    so_kwargs = {k: data[k] for k in _SO_KEYS if k in data}
-    so = SOConfig(variant=algo, **so_kwargs)
+    for k, (ok, want) in _SO_FIELDS.items():
+        if k in data and not ok(data[k]):
+            raise ConfigError(f"{path}: {k} must be {want}")
+    so = SOConfig(variant=algo, **{k: data[k] for k in _SO_FIELDS if k in data})
     try:
         so.check(n)
     except ValueError as exc:
@@ -228,7 +257,7 @@ def load_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(problem=problem, n=n, m=m, algo=algo, algos=algos,
                             runs=runs, budget=budget, seed=seed,
-                            pop_size=pop_size, out=data.get("out"), so=so,
+                            pop_size=pop_size, out=out, so=so,
                             checkpoints=checkpoints, raw_text=text)
 
 
@@ -249,14 +278,19 @@ def resolve_bi(cfg: ExperimentConfig) -> BiObjectiveInstance:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the CLI flag, capped by BLOCKBENCH_THREADS."""
+    """Worker count: the CLI flag, capped by BLOCKBENCH_THREADS, which
+    must be a positive integer when set."""
     w = requested if requested and requested > 0 else 1
     cap = os.environ.get("BLOCKBENCH_THREADS")
     if cap:
         try:
-            w = min(w, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
-            pass
+            limit = 0
+        if limit < 1:
+            raise ConfigError(f"BLOCKBENCH_THREADS must be a positive "
+                              f"integer, got {cap!r}")
+        w = min(w, limit)
     return w
 
 
@@ -364,7 +398,8 @@ def cmd_run(cfg: ExperimentConfig, workers: int = 1) -> int:
     try:
         metas = _map_tasks(_so_worker, tasks, workers)
     except Exception as exc:  # noqa: BLE001 - partial results stay on disk
-        print(f"run failed: {exc}; partial results kept in {outdir}")
+        print(f"run failed: {exc}; partial results kept in {outdir}",
+              file=sys.stderr)
         return 1
     _write_so_meta(outdir, metas)
     summary = aggregate_runs(outdir)
@@ -422,7 +457,8 @@ def cmd_bi(cfg: ExperimentConfig, workers: int = 1) -> int:
     try:
         metas = _map_tasks(_bi_worker, tasks, workers)
     except Exception as exc:  # noqa: BLE001 - partial results stay on disk
-        print(f"bi run failed: {exc}; partial results kept in {outdir}")
+        print(f"bi run failed: {exc}; partial results kept in {outdir}",
+              file=sys.stderr)
         return 1
     comparison = {}
     for algo in algos:
@@ -611,7 +647,7 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
     try:
         spec = make_suite_instance(problem, n, m)
     except ValueError as exc:
-        print(f"landscape: {exc}")
+        print(f"landscape: {exc}", file=sys.stderr)
         return 2
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -637,7 +673,7 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
             if combos * per_vec > work_cap:
                 print(f"landscape: distance axis needs about "
                       f"{combos * per_vec} combinations, over the cap of "
-                      f"{work_cap}; reduce n or m")
+                      f"{work_cap}; reduce n or m", file=sys.stderr)
                 return 2
             rows = []
             for d in itertools.product(range(length + 1), repeat=m):
@@ -647,7 +683,8 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                        + ["f_min", "f_max"], rows)
             if svg:
                 if m != 2:
-                    print("landscape: svg heatmap needs m=2 on this axis")
+                    print("landscape: svg heatmap needs m=2 on this axis",
+                          file=sys.stderr)
                     return 2
                 svgplot.heatmap_chart(
                     [(r[0], r[1], r[m + 1]) for r in rows], svg,
@@ -655,7 +692,8 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                     title=f"{problem} n={n} m={m}: max objective")
         elif axis == "blocks":
             if fix is None or not 1 <= fix <= m:
-                print(f"landscape: blocks axis needs --fix in 1..{m}")
+                print(f"landscape: blocks axis needs --fix in 1..{m}",
+                      file=sys.stderr)
                 return 2
             sets = _block_value_sets(spec)
             fi = fix - 1
@@ -672,14 +710,14 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                              "other_value", "f_min", "f_max"], rows)
             if svg:
                 print("landscape: svg is supported for the ones and "
-                      "distance axes")
+                      "distance axes", file=sys.stderr)
                 return 2
         else:
             print(f"landscape: unknown axis {axis!r}; "
-                  f"valid: ones, distance, blocks")
+                  f"valid: ones, distance, blocks", file=sys.stderr)
             return 2
     except ValueError as exc:
-        print(f"landscape: {exc}")
+        print(f"landscape: {exc}", file=sys.stderr)
         return 2
     print(f"landscape {problem} {axis} -> {out}")
     return 0
@@ -763,7 +801,7 @@ def cmd_plot(inputs, kind: str, out, logx: bool = False) -> int:
             raise ConfigError(f"unknown plot kind {kind!r}; "
                               f"valid: lines, scatter, heatmap")
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"plot: {exc}")
+        print(f"plot: {exc}", file=sys.stderr)
         return 2
     print(f"plot {kind} -> {out}")
     return 0

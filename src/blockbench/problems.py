@@ -386,27 +386,21 @@ class CompiledInstance:
         self.f_from_values = f_from_values
         self.gates_from_values = gates_from_values
 
-        is_forward = all(anc[i] == frozenset(range(i)) for i in range(m))
-        is_backward = all(anc[i] == frozenset(range(i + 1, m)) for i in range(m))
-        if is_forward:
-            def fv(v):
-                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
-                f = consts[0] + weights[0] * V[0]
-                for i in range(1, m):
-                    if not tests[i - 1](V[i - 1]):
-                        break
-                    f += consts[i] + weights[i] * V[i]
-                return f, V
-        elif is_backward:
-            last = m - 1
+        forward = all(anc[i] == frozenset(range(i)) for i in range(m))
+        if forward or all(anc[i] == frozenset(range(i + 1, m)) for i in range(m)):
+            # a gate chain: each block in order gates all the blocks after it
+            order = range(m) if forward else range(m - 1, -1, -1)
+            head = order[0]
+            # (test, gating block, block): a failed test closes the rest
+            chain = tuple((tests[g], g, b) for g, b in zip(order, order[1:]))
 
             def fv(v):
                 V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
-                f = consts[last] + weights[last] * V[last]
-                for i in range(last - 1, -1, -1):
-                    if not tests[i + 1](V[i + 1]):
+                f = consts[head] + weights[head] * V[head]
+                for test, g, b in chain:
+                    if not test(V[g]):
                         break
-                    f += consts[i] + weights[i] * V[i]
+                    f += consts[b] + weights[b] * V[b]
                 return f, V
         else:
             def fv(v):

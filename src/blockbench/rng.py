@@ -1,4 +1,4 @@
-"""Seeded randomness and variation operators.
+"""Seeded randomness and the samplers of the variation operators.
 
 A :class:`RandomSource` wraps one Mersenne Twister stream and adds the
 integer samplers the solvers need: positive-conditioned binomials by CDF
@@ -20,14 +20,7 @@ import random
 from bisect import bisect_left
 from functools import lru_cache
 
-from .bitstring import BitString
-
-__all__ = [
-    "RandomSource",
-    "flip_bits",
-    "biased_crossover",
-    "uniform_crossover",
-]
+__all__ = ["RandomSource"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -204,34 +197,3 @@ def _round_half_away(x: float) -> int:
         return int(math.floor(x + 0.5))
     return -int(math.floor(-x + 0.5))
 
-
-# -- variation operators ----------------------------------------------
-
-
-def flip_bits(rng: RandomSource, x: BitString, count: int) -> BitString:
-    """Flip count distinct, uniformly chosen positions of x."""
-    if count == 0:
-        return x
-    return BitString(x.n, x.value ^ rng.positions_mask(x.n, count))
-
-
-def biased_crossover(rng: RandomSource, x: BitString, donor: BitString, bias: float) -> BitString:
-    """Take each position from donor independently with probability bias.
-
-    The number of donor positions is drawn as Binomial(n, bias)
-    conditioned positive, then that many distinct positions are chosen,
-    matching per-position coin flips conditioned on a nonempty swap.
-    """
-    if x.n != donor.n:
-        raise ValueError("length mismatch")
-    k = rng.binomial_positive(x.n, bias)
-    mask = rng.positions_mask(x.n, k)
-    return BitString(x.n, (x.value & ~mask) | (donor.value & mask))
-
-
-def uniform_crossover(rng: RandomSource, x: BitString, y: BitString) -> BitString:
-    """Each position independently from x or y with probability 1/2."""
-    if x.n != y.n:
-        raise ValueError("length mismatch")
-    mask = rng.getrandbits(x.n)
-    return BitString(x.n, (x.value & ~mask) | (y.value & mask))

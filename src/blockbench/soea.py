@@ -102,99 +102,120 @@ class RunResult:
 
 
 class _Recorder:
-    """Per-run bookkeeping: counts evaluations, tracks the incumbent."""
+    """Per-run bookkeeping: evaluates and counts every solution through
+    breed(), tracks the incumbent, the trajectory and the hitting index."""
 
-    __slots__ = ("evals", "budget", "target", "best_f", "best_v", "traj",
-                 "hit_index", "last_improve")
+    __slots__ = ("n", "fv", "evals", "budget", "goal", "best_f", "best_v",
+                 "traj", "hit_index", "last_improve")
 
-    def __init__(self, budget: int, target: float | None):
+    def __init__(self, comp, budget: int, target: float | None):
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        self.n = comp.n
+        self.fv = comp.fv
         self.evals = 0
         self.budget = budget
-        self.target = target
-        self.best_f = None
+        self.goal = math.inf if target is None else target  # None: never hit
+        self.best_f = -math.inf
         self.best_v = 0
         self.traj: list = []
         self.hit_index: int | None = None
         self.last_improve = 0
 
-    def note(self, f, V, v) -> None:
-        self.evals += 1
-        if self.best_f is None or f > self.best_f:
-            self.best_f = f
-            self.best_v = v
-            self.traj.append((self.evals, float(f), V))
-            self.last_improve = self.evals
-        if self.hit_index is None and self.target is not None and f >= self.target:
-            self.hit_index = self.evals
+    def breed(self, k: int, make, best=-math.inf, winners=None):
+        """Draw up to k offspring y = make(i), i = 0, 1, ..., stopping
+        before the first one the budget cannot pay for; evaluate and
+        count each. Returns the best f among best and the offspring, and
+        the (y, i) pairs that reach it in draw order; winners seeds the
+        pairs that already hold best (e.g. the parent as (x, -1))."""
+        fv = self.fv
+        evals = self.evals
+        top = self.best_f
+        goal = self.goal
+        if winners is None:
+            winners = []
+        # the solvers' hot loop: recorder state stays in locals, and a
+        # conditional expression stands in for the slower builtin min()
+        left = self.budget - evals
+        for i in range(k if k < left else left):
+            y = make(i)
+            f, V = fv(y)
+            evals += 1
+            if f > top:
+                top = f
+                self.best_v = y
+                self.traj.append((evals, float(f), V))
+                self.last_improve = evals
+            if f >= goal and self.hit_index is None:
+                self.hit_index = evals
+            if f > best:
+                best = f
+                winners = [(y, i)]
+            elif f == best:
+                winners.append((y, i))
+        self.evals = evals
+        self.best_f = top
+        return best, winners
 
     @property
     def done(self) -> bool:
         return self.evals >= self.budget or self.hit_index is not None
 
-    def result(self, n: int) -> RunResult:
+    def result(self) -> RunResult:
         return RunResult(
             evaluations_used=self.evals,
             best_f=float(self.best_f),
-            best_x=BitString(n, self.best_v),
-            hit_target=self.target is not None and self.best_f >= self.target,
+            best_x=BitString(self.n, self.best_v),
+            hit_target=self.best_f >= self.goal,
             hit_index=self.hit_index,
             trajectory=self.traj,
         )
 
 
-def _one_plus_lambda(comp, lam, sample_ell, budget, target, rng) -> RunResult:
-    """Elitist loop shared by run_ea and run_fga: lambda offspring per
-    generation, next parent drawn uniformly from the argmax of
-    {parent} + offspring."""
-    n = comp.n
-    fv = comp.fv
-    pm = rng.positions_mask
-    rec = _Recorder(budget, target)
-    x = rng.getrandbits(n)
-    fx, Vx = fv(x)
-    rec.note(fx, Vx, x)
-    while not rec.done:
-        best = fx
-        cand = [x]
-        for _ in range(lam):
-            if rec.evals >= budget:
-                break
-            y = x ^ pm(n, sample_ell())
-            fy, Vy = fv(y)
-            rec.note(fy, Vy, y)
-            if fy > best:
-                best = fy
-                cand = [y]
-            elif fy == best:
-                cand.append(y)
-        x = cand[rng.index_below(len(cand))]
-        fx = best
-    return rec.result(n)
-
-
 def run_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
            trace=None) -> RunResult:
-    """(1+lambda) EA with a fixed mutation rate."""
+    """(1+lambda) EA with a fixed mutation rate; the next parent is drawn
+    uniformly from the argmax of {parent} + offspring."""
     cfg.check(problem.n)
     comp = compile_instance(problem)
     n = comp.n
     p = cfg.p if cfg.p is not None else 1.0 / n
+    pm = rng.positions_mask
     bp = rng.binomial_positive
-    return _one_plus_lambda(comp, cfg.lam, lambda: bp(n, p), budget, target, rng)
+    rec = _Recorder(comp, budget, target)
+    fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
+
+    def mutate(i):
+        return x ^ pm(n, bp(n, p))
+
+    while not rec.done:
+        fx, won = rec.breed(cfg.lam, mutate, fx, [(x, -1)])
+        x = won[rng.index_below(len(won))][0]
+    return rec.result()
 
 
 def run_fga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
             trace=None) -> RunResult:
-    """(1+1) EA with heavy-tailed flip counts on [1, n/2]."""
+    """(1+1) EA with heavy-tailed flip counts on [1, n/2]; ties with the
+    parent are broken uniformly."""
     cfg.check(problem.n)
     comp = compile_instance(problem)
-    half = comp.n // 2
+    n = comp.n
+    half = n // 2
     beta = cfg.beta
+    pm = rng.positions_mask
     pl = rng.power_law
+    rec = _Recorder(comp, budget, target)
+    fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
+
+    def mutate(i):
+        return x ^ pm(n, pl(half, beta))
+
     # follows the (1+1) scheme regardless of cfg.lam
-    return _one_plus_lambda(comp, 1, lambda: pl(half, beta), budget, target, rng)
+    while not rec.done:
+        fx, won = rec.breed(1, mutate, fx, [(x, -1)])
+        x = won[rng.index_below(len(won))][0]
+    return rec.result()
 
 
 def run_two_rate(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
@@ -203,46 +224,32 @@ def run_two_rate(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng:
     cfg.check(problem.n)
     comp = compile_instance(problem)
     n = comp.n
-    fv = comp.fv
     pm = rng.positions_mask
     bp = rng.binomial_positive
     lam = cfg.lam
     half = lam // 2
     r_hi = max(2.0, n / 4)
-    rec = _Recorder(budget, target)
-    x = rng.getrandbits(n)
-    fx, Vx = fv(x)
-    rec.note(fx, Vx, x)
+    rec = _Recorder(comp, budget, target)
+    fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     r = 2.0
+
+    def mutate(i):
+        rate = r / (2 * n) if i < half else min(1.0, 2 * r / n)
+        return x ^ pm(n, bp(n, rate))
+
     while not rec.done:
-        best = None
-        winners = []  # (candidate, came from low-rate half)
-        for i in range(lam):
-            if rec.evals >= budget:
-                break
-            low = i < half
-            rate = r / (2 * n) if low else min(1.0, 2 * r / n)
-            y = x ^ pm(n, bp(n, rate))
-            fy, Vy = fv(y)
-            rec.note(fy, Vy, y)
-            if best is None or fy > best:
-                best = fy
-                winners = [(y, low)]
-            elif fy == best:
-                winners.append((y, low))
-        if best is None:
-            break
-        wy, wlow = winners[rng.index_below(len(winners))]
+        best, won = rec.breed(lam, mutate)
+        wy, wi = won[rng.index_below(len(won))]
         if best >= fx:
             x, fx = wy, best
-        s = 0.75 if wlow else 0.25
+        s = 0.75 if wi < half else 0.25
         if rng.random() <= s:
             r = max(r / 2, 2.0)
         else:
             r = min(2 * r, r_hi)
         if trace is not None:
             trace.append({"r": r})
-    return rec.result(n)
+    return rec.result()
 
 
 def run_var_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
@@ -256,45 +263,35 @@ def run_var_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
     cfg.check(problem.n)
     comp = compile_instance(problem)
     n = comp.n
-    fv = comp.fv
     pm = rng.positions_mask
+    pni = rng.positive_normal_int
     lam = cfg.lam
     fdamp = cfg.f_var
-    rec = _Recorder(budget, target)
-    x = rng.getrandbits(n)
-    fx, Vx = fv(x)
-    rec.note(fx, Vx, x)
+    rec = _Recorder(comp, budget, target)
+    fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     r = 2.0
     c = 0
     last_reset = 0
+    flips = [0] * lam  # flip count drawn for offspring i
+
+    def mutate(i):
+        flips[i] = l = pni(r, var, n)
+        return x ^ pm(n, l)
+
     while not rec.done:
         var = (fdamp ** c) * r * (1.0 - r / n)
-        best = None
-        best_l = None
-        besty = x
-        for _ in range(lam):
-            if rec.evals >= budget:
-                break
-            l = rng.positive_normal_int(r, var, n)
-            y = x ^ pm(n, l)
-            fy, Vy = fv(y)
-            rec.note(fy, Vy, y)
-            if best is None or fy > best:  # winner = first among maxima
-                best = fy
-                best_l = l
-                besty = y
-        if best is None:
-            break
-        c = c + 1 if best_l == r else 0
-        r = float(best_l)
+        best, won = rec.breed(lam, mutate)
+        wy, wi = won[0]  # winner = first among maxima, no random tie-break
+        c = c + 1 if flips[wi] == r else 0
+        r = float(flips[wi])
         if best >= fx:
-            x, fx = besty, best
+            x, fx = wy, best
         if rec.evals - max(rec.last_improve, last_reset) >= n:
             c = 0
             last_reset = rec.evals
         if trace is not None:
             trace.append({"r": r, "c": c})
-    return rec.result(n)
+    return rec.result()
 
 
 def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
@@ -303,53 +300,31 @@ def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
     cfg.check(problem.n)
     comp = compile_instance(problem)
     n = comp.n
-    fv = comp.fv
     pm = rng.positions_mask
     bp = rng.binomial_positive
     fstep = cfg.f_oll
     gain = fstep ** 0.25
-    rec = _Recorder(budget, target)
-    x = rng.getrandbits(n)
-    fx, Vx = fv(x)
-    rec.note(fx, Vx, x)
+    rec = _Recorder(comp, budget, target)
+    fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     lam = float(min(cfg.lam, n))
+
+    def mutate(i):
+        return x ^ pm(n, ell)
+
+    def cross(i):
+        mask = pm(n, bp(n, bias))
+        return (x & ~mask) | (xstar & mask)
+
     while not rec.done:
         k = math.ceil(lam)
         ell = bp(n, min(1.0, lam / n))
-        best_m = None
-        mutants = []
-        for _ in range(k):
-            if rec.evals >= budget:
-                break
-            y = x ^ pm(n, ell)
-            fy, Vy = fv(y)
-            rec.note(fy, Vy, y)
-            if best_m is None or fy > best_m:
-                best_m = fy
-                mutants = [y]
-            elif fy == best_m:
-                mutants.append(y)
-        if not mutants:
-            break
-        xstar = mutants[rng.index_below(len(mutants))]
+        _, mutants = rec.breed(k, mutate)
+        xstar = mutants[rng.index_below(len(mutants))][0]
         bias = 1.0 / lam
-        best_c = None
-        crossed = []
-        for _ in range(k):
-            if rec.evals >= budget:
-                break
-            mask = pm(n, bp(n, bias))
-            y = (x & ~mask) | (xstar & mask)
-            fy, Vy = fv(y)
-            rec.note(fy, Vy, y)
-            if best_c is None or fy > best_c:
-                best_c = fy
-                crossed = [y]
-            elif fy == best_c:
-                crossed.append(y)
-        if not crossed:
+        best_c, crossed = rec.breed(k, cross)
+        if not crossed:  # the mutation phase spent the budget
             break
-        ystar = crossed[rng.index_below(len(crossed))]
+        ystar = crossed[rng.index_below(len(crossed))][0]
         if best_c > fx:
             x, fx = ystar, best_c
             lam = max(lam / fstep, 1.0)
@@ -360,7 +335,7 @@ def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
             lam = min(lam * gain, float(n))
         if trace is not None:
             trace.append({"lam": lam})
-    return rec.result(n)
+    return rec.result()
 
 
 # -- (mu+1) GA ------------------------------------------------------------
@@ -408,24 +383,21 @@ def run_mu_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Ra
     cfg.check(problem.n)
     comp = compile_instance(problem)
     n = comp.n
-    fv = comp.fv
     pm = rng.positions_mask
     g = rng.getrandbits
-    mu = cfg.mu
     p_c = cfg.p_c
     pbit = 1.0 / n
-    rec = _Recorder(budget, target)
+    rec = _Recorder(comp, budget, target)
     xs: list[int] = []
     fs: list[float] = []
-    for _ in range(mu):
-        if rec.evals >= budget:
+    for _ in range(cfg.mu):
+        f, won = rec.breed(1, lambda i: g(n))
+        if not won:
             break
-        v = g(n)
-        f, V = fv(v)
-        rec.note(f, V, v)
-        xs.append(v)
+        xs.append(won[0][0])
         fs.append(f)
-    while not rec.done and len(xs) >= 2:
+
+    def offspring(_):
         i = rng.index_below(len(xs))
         base = xs[i]
         if rng.random() < p_c:
@@ -435,9 +407,10 @@ def run_mu_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Ra
             mask = g(n)
             base = (base & ~mask) | (xs[j] & mask)
         flips = rng.binomial(n, pbit)
-        y = base ^ pm(n, flips) if flips else base
-        fy, Vy = fv(y)
-        rec.note(fy, Vy, y)
+        return base ^ pm(n, flips) if flips else base
+
+    while not rec.done and len(xs) >= 2:
+        fy, [(y, _)] = rec.breed(1, offspring)
         xs.append(y)
         fs.append(fy)
         if cfg.diversity:
@@ -447,7 +420,7 @@ def run_mu_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Ra
         ridx = removal_index(fs, protected, rng)
         del xs[ridx]
         del fs[ridx]
-    return rec.result(n)
+    return rec.result()
 
 
 SINGLE_RUNNERS = {

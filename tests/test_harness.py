@@ -5,11 +5,13 @@ import json
 
 import pytest
 
+from blockbench import harness
 from blockbench.cli import main
 from blockbench.harness import (ConfigError, aggregate_runs,
                                 checkpoint_schedule, cmd_bi, cmd_run,
                                 load_config, resolve_bi, resolve_instance,
                                 resolve_workers)
+from blockbench.moea import MULTI_RUNNERS
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -63,6 +65,20 @@ def test_load_config_roundtrip(tmp_path):
     assert (cfg.n, cfg.m, cfg.algo, cfg.runs) == (20, 2, "two_rate", 3)
     assert cfg.so.variant == "two_rate"
     assert cfg.raw_text == p.read_text(encoding="utf-8")
+    # m defaults to 1; budget to 100 000 for run and to n^3 for bi
+    so = load_config(write_config(tmp_path, "so.json", problem="F1", n=8,
+                                  runs=1, out=str(tmp_path / "so")))
+    assert so.m == 1 and so.budget is None
+    assert cmd_run(so) == 0
+    summary = json.loads((tmp_path / "so" / "summary.json").read_text())
+    assert summary["budget"] == 100_000
+    bi = load_config(write_config(tmp_path, "bi.json", problem="BF1", n=4,
+                                  runs=1, algos=["semo"],
+                                  out=str(tmp_path / "bi")))
+    assert bi.m == 1 and bi.budget is None
+    assert cmd_bi(bi) == 0
+    top = json.loads((tmp_path / "bi" / "bi_summary.json").read_text())
+    assert top["budget"] == 4 ** 3
 
 
 def test_load_config_bad_json_reports_position(tmp_path):
@@ -105,6 +121,27 @@ def test_load_config_algo_checks(tmp_path):
                       algos=["gsemo", "annealer"])
     with pytest.raises(ConfigError, match="unknown multi-objective algo"):
         load_config(p3)
+    # every field is type-checked, and bool is not an integer
+    for fields, message in (
+            ({"lam": "10"}, "lam must be an integer"),
+            ({"lam": 1.5}, "lam must be an integer"),
+            ({"lam": True}, "lam must be an integer"),
+            ({"runs": True}, "runs must be a positive integer"),
+            ({"n": True}, "n and m must be integers"),
+            ({"m": 1.0}, "n and m must be integers"),
+            ({"seed": False}, "seed must be an integer"),
+            ({"budget": "1000"}, "budget must be a positive integer"),
+            ({"p": "0.1"}, "p must be a number or null"),
+            ({"beta": float("nan")}, "beta must be a finite number"),
+            ({"diversity": 1}, "diversity must be true or false"),
+            ({"algos": "gsemo"}, "algos must be a list"),
+            ({"checkpoints": 5}, "checkpoints must be"),
+            ({"checkpoints": [1, True]}, "checkpoints must be"),
+            ({"out": 3}, "out must be a string")):
+        p4 = write_config(tmp_path, "typed.json",
+                          **{"problem": "F1", "n": 10, **fields})
+        with pytest.raises(ConfigError, match=message):
+            load_config(p4)
 
 
 def test_load_config_inline_problem(tmp_path):
@@ -144,8 +181,10 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("BLOCKBENCH_THREADS", "2")
     assert resolve_workers(8) == 2
     assert resolve_workers(1) == 1
-    monkeypatch.setenv("BLOCKBENCH_THREADS", "zounds")
-    assert resolve_workers(3) == 3
+    for bad in ("zounds", "0", "-2"):
+        monkeypatch.setenv("BLOCKBENCH_THREADS", bad)
+        with pytest.raises(ConfigError, match="BLOCKBENCH_THREADS"):
+            resolve_workers(3)
 
 
 # -- single-objective batch outputs ----------------------------------------------
@@ -361,13 +400,38 @@ def test_cli_landscape(tmp_path):
     assert svg_path.read_text(encoding="utf-8").startswith("<svg")
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nope.json"
     assert main(["run", "-c", str(missing)]) == 2
     bad = write_config(tmp_path, "bad.json", problem="F1")  # n missing
     assert main(["run", "-c", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "'n' is required" in err
+
+    def expect(argv, code, message):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert message in err and message not in out
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    so = write_config(tmp_path, "so.json", problem="F1", n=8, runs=1)
+    monkeypatch.setattr(harness, "run_single", boom)
+    expect(["run", "-c", str(so), "-o", str(tmp_path / "so")], 1,
+           "run failed: boom")
+    bi = write_config(tmp_path, "bi.json", problem="BF1", n=4, runs=1,
+                      algos=["gsemo"])
+    monkeypatch.setitem(MULTI_RUNNERS, "gsemo", boom)
+    expect(["bi", "-c", str(bi), "-o", str(tmp_path / "bi")], 1,
+           "bi run failed: boom")
+    expect(["landscape", "--problem", "F99", "--axis", "ones", "--n", "8",
+            "-o", str(tmp_path / "scan.csv")], 2, "unknown instance id 'F99'")
+    expect(["plot", str(tmp_path / "absent.csv"), "-o",
+            str(tmp_path / "p.svg")], 2, "plot:")
+    monkeypatch.setenv("BLOCKBENCH_THREADS", "zounds")
+    expect(["run", "-c", str(so), "--workers", "2"], 2,
+           "BLOCKBENCH_THREADS must be a positive integer")
 
 
 def test_cli_list(capsys):
