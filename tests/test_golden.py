@@ -1,6 +1,6 @@
-"""Golden artifact digests: small fixed `run`, `table2`, `bi` and
-`landscape` commands must write byte-for-byte the files recorded in
-golden_sha256.json.
+"""Golden artifact digests: small fixed `run` (suite and inline
+instances), `table2`, `bi` and `landscape` commands must write
+byte-for-byte the files recorded in golden_sha256.json.
 
 A change that keeps the random stream leaves every digest unchanged.
 A change that alters the stream on purpose regenerates the manifest,
@@ -34,6 +34,45 @@ def _run_variant(algo):
     return go
 
 
+def _blk(family, k=None, nu=None):
+    return {"family": family, "k": k, "nu": nu}
+
+
+# non-monotone inline instances: no closed-form optimum, so the target
+# comes from the exact fallback for small n
+INLINE = {
+    # gates on the DAG 0->1, 0->2, 1->3, 2->3; block 1 opens block 3 only
+    # while it stays at or below 3 ("le"); a negative constant on block 3
+    "gcp-le": {
+        "kind": "GCP", "n": 16, "m": 4,
+        "blocks": [_blk("jump", k=2), _blk("onemax"), _blk("leadingones"),
+                   _blk("epistasis", nu=2)],
+        "weights": [1, 1.5, 1, 2], "constants": [0, 1, 0, -1],
+        "dependencies": [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1],
+                         [0, 0, 0, 0]],
+        "thresholds": [2, 3, 1, 0], "gate_dirs": ["ge", "le", "ge", "ge"]},
+    # additive with a negative product between blocks 1 and 0
+    "dbp-neg": {
+        "kind": "DBP", "n": 16, "m": 4,
+        "blocks": [_blk("leadingones"), _blk("onemax"), _blk("jump", k=2),
+                   _blk("epistasis", nu=2)],
+        "weights": [1, 2, 1, 0.5], "constants": [0, 0, 1, 0],
+        "dependencies": [[0, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0],
+                         [0, 0, 0.25, 0]],
+        "thresholds": None, "gate_dirs": None},
+}
+
+
+def _run_inline(name, algo, seed):
+    def go(tmp):
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"problem": INLINE[name], "algo": algo,
+                                   "runs": 3, "budget": 2000, "seed": seed}),
+                       encoding="utf-8")
+        return ["run", "-c", str(cfg), "-o", str(tmp / "out")]
+    return go
+
+
 def _bi(tmp):
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({"problem": "BF4", "n": 16, "m": 4, "runs": 1,
@@ -53,8 +92,17 @@ def _landscape(tmp):
             "--svg", str(tmp / "out" / "ones.svg")]
 
 
+def _distance(tmp):
+    (tmp / "out").mkdir()
+    return ["landscape", "--problem", "F9", "--axis", "distance", "--n", "16",
+            "--m", "4", "-o", str(tmp / "out" / "distance.csv")]
+
+
 CASES = {f"run-{v}": _run_variant(v) for v in VARIANTS}
-CASES.update({"table2": _table2, "bi-BF4": _bi, "landscape-F10": _landscape})
+CASES.update({"table2": _table2, "bi-BF4": _bi, "landscape-F10": _landscape,
+              "run-ea-gcp-le": _run_inline("gcp-le", "ea", 11),
+              "run-two_rate-dbp-neg": _run_inline("dbp-neg", "two_rate", 13),
+              "landscape-F9-distance": _distance})
 
 
 def digest(case: str, tmp: Path) -> str:
