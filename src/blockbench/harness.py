@@ -278,9 +278,12 @@ def resolve_bi(cfg: ExperimentConfig) -> BiObjectiveInstance:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the CLI flag, capped by BLOCKBENCH_THREADS, which
-    must be a positive integer when set."""
-    w = requested if requested and requested > 0 else 1
+    """Worker count: the CLI flag (default 1; below 1 is an error),
+    capped by BLOCKBENCH_THREADS, which must be a positive integer when
+    set."""
+    w = 1 if requested is None else requested
+    if w < 1:
+        raise ConfigError(f"--workers must be >= 1, got {w}")
     cap = os.environ.get("BLOCKBENCH_THREADS")
     if cap:
         try:
@@ -360,10 +363,9 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 def _so_worker(args):
-    cfg, budget, cps, outdir, run_index = args
+    cfg, budget, target, cps, outdir, run_index = args
     spec = resolve_instance(cfg)
     rng = RandomSource(cfg.seed).derive(run_index)
-    target = known_optimum(spec)
     res = run_single(cfg.so, spec, budget, rng, target=target)
     rows = _step_rows([(e, f, V) for e, f, V in res.trajectory],
                       cps, res.evaluations_used)
@@ -394,7 +396,9 @@ def cmd_run(cfg: ExperimentConfig, workers: int = 1) -> int:
     outdir = cfg.out_dir(cfg.algo)
     outdir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, outdir)
-    tasks = [(cfg, budget, cps, str(outdir), i) for i in range(cfg.runs)]
+    target = known_optimum(spec)  # once per command, not per run
+    tasks = [(cfg, budget, target, cps, str(outdir), i)
+             for i in range(cfg.runs)]
     try:
         metas = _map_tasks(_so_worker, tasks, workers)
     except Exception as exc:  # noqa: BLE001 - partial results stay on disk
@@ -577,9 +581,9 @@ def aggregate_runs(log_dir) -> dict:
 
 
 def _fes_worker(args):
-    spec, so, budget, seed, seq = args
+    spec, so, budget, target, seed, seq = args
     rng = RandomSource(seed).derive(seq)
-    res = run_single(so, spec, budget, rng)
+    res = run_single(so, spec, budget, rng, target=target)
     return res.hit_index if res.hit_index is not None else budget
 
 
@@ -588,14 +592,24 @@ def cmd_table2(n: int = 40, m: int = 4, runs: int = 50, seed: int = 1,
                workers: int = 1) -> int:
     """Mean evaluations-to-optimum (with per-row ranks) for the five
     single-objective algorithms on the six comparison problems."""
+    if runs < 1:
+        raise ConfigError(f"table2: runs must be >= 1, got {runs}")
+    if budget < 1:
+        raise ConfigError(f"table2: budget must be >= 1, got {budget}")
+    try:
+        specs = [make_suite_instance(pid, n, min(row_m, m))
+                 for _, pid, row_m in TABLE2_ROWS]
+    except ValueError as exc:
+        raise ConfigError(f"table2: {exc}") from None
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     cells = {}
-    for ri, (label, pid, row_m) in enumerate(TABLE2_ROWS):
-        spec = make_suite_instance(pid, n, row_m if row_m <= m else m)
+    for ri, ((label, _, _), spec) in enumerate(zip(TABLE2_ROWS, specs)):
+        target = known_optimum(spec)  # once per row, shared by its cells
         for ci, algo in enumerate(TABLE2_COLUMNS):
             so = SOConfig(variant=algo)
-            tasks = [(spec, so, budget, seed, (ri * len(TABLE2_COLUMNS) + ci) * runs + k)
+            tasks = [(spec, so, budget, target, seed,
+                      (ri * len(TABLE2_COLUMNS) + ci) * runs + k)
                      for k in range(runs)]
             fes = _map_tasks(_fes_worker, tasks, workers)
             cells[label, algo] = {
@@ -652,10 +666,11 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     length = spec.block_length
+    memo: dict = {}  # f by block-value vector, shared by this export's queries
     try:
         if axis == "ones":
             rows = [(k, f) for k in range(n + 1)
-                    for f in sorted(attainable_by_ones_count(spec, k))]
+                    for f in sorted(attainable_by_ones_count(spec, k, memo))]
             _write_csv(out, ["k", "f"], rows)
             if svg:
                 svgplot.scatter_chart(
@@ -677,7 +692,7 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                 return 2
             rows = []
             for d in itertools.product(range(length + 1), repeat=m):
-                lo, hi = attainable_by_distance(spec, d)
+                lo, hi = attainable_by_distance(spec, d, memo)
                 rows.append(d + (lo, hi))
             _write_csv(out, [f"d{i + 1}" for i in range(m)]
                        + ["f_min", "f_max"], rows)
@@ -704,7 +719,7 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                 for u in sets[fi]:
                     for w in sets[j]:
                         lo, hi = attainable_by_block_values(
-                            spec, {fi: u, j: w})
+                            spec, {fi: u, j: w}, memo)
                         rows.append((fix, u, j + 1, w, lo, hi))
             _write_csv(out, ["fixed_block", "fixed_value", "other_block",
                              "other_value", "f_min", "f_max"], rows)

@@ -85,21 +85,32 @@ def block_profile(bf: BlockFunction, length: int, key: str = "distance") -> dict
     return {d: frozenset(s) for d, s in acc.items()}
 
 
-def _extrema_over_products(comp, value_sets) -> tuple[float, float]:
-    lo = hi = None
+def _f_over_products(comp, value_sets, memo) -> list[float]:
+    """f, as a float, of every vector in the product of value_sets, in
+    product order. memo maps V -> f for one instance; a caller that
+    passes the same memo to many queries aggregates each distinct V once."""
     agg = comp.f_from_values
-    for combo in product(*value_sets):
-        f = agg(combo)
-        if lo is None or f < lo:
-            lo = f
-        if hi is None or f > hi:
-            hi = f
-    return float(lo), float(hi)
+    if memo is None:
+        memo = {}
+    out = []
+    for V in product(*value_sets):
+        f = memo.get(V)
+        if f is None:
+            f = memo[V] = float(agg(V))
+        out.append(f)
+    return out
 
 
-def attainable_by_distance(spec: InstanceSpec, distances) -> tuple[float, float]:
+def _extrema_over_products(comp, value_sets, memo) -> tuple[float, float]:
+    fs = _f_over_products(comp, value_sets, memo)
+    return min(fs), max(fs)
+
+
+def attainable_by_distance(spec: InstanceSpec, distances,
+                           memo: dict | None = None) -> tuple[float, float]:
     """Extrema of f over all x whose block i sits at Hamming distance
-    distances[i] from block i's optimum."""
+    distances[i] from block i's optimum. memo (V -> f, for this spec
+    only) lets repeated queries share aggregations."""
     comp = compile_instance(spec)
     ln = spec.block_length
     distances = tuple(distances)
@@ -112,12 +123,13 @@ def attainable_by_distance(spec: InstanceSpec, distances) -> tuple[float, float]
         block_profile(bf, ln, "distance")[d]
         for bf, d in zip(spec.blocks, distances)
     ]
-    return _extrema_over_products(comp, sets)
+    return _extrema_over_products(comp, sets, memo)
 
 
-def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int]) -> tuple[float, float]:
+def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int],
+                               memo: dict | None = None) -> tuple[float, float]:
     """Extrema of f with some block values pinned; free blocks range
-    over their full attainable sets."""
+    over their full attainable sets. memo as in attainable_by_distance."""
     comp = compile_instance(spec)
     ln = spec.block_length
     full = [
@@ -135,7 +147,7 @@ def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int]) -> tup
     unknown = set(fixed) - set(range(spec.m))
     if unknown:
         raise ValueError(f"no such blocks: {sorted(unknown)}")
-    return _extrema_over_products(comp, sets)
+    return _extrema_over_products(comp, sets, memo)
 
 
 def _compositions(total: int, caps: tuple[int, ...]):
@@ -150,18 +162,21 @@ def _compositions(total: int, caps: tuple[int, ...]):
             yield (u,) + rest
 
 
-def attainable_by_ones_count(spec: InstanceSpec, k: int) -> frozenset[float]:
-    """All objective values attainable with exactly k ones overall."""
+def attainable_by_ones_count(spec: InstanceSpec, k: int,
+                             memo: dict | None = None) -> frozenset[float]:
+    """All objective values attainable with exactly k ones overall.
+    memo as in attainable_by_distance."""
     if not 0 <= k <= spec.n:
         raise ValueError(f"ones-count {k} out of range 0..{spec.n}")
     comp = compile_instance(spec)
     ln = spec.block_length
     profiles = [block_profile(bf, ln, "ones") for bf in spec.blocks]
-    agg = comp.f_from_values
+    if memo is None:
+        memo = {}
     out: set[float] = set()
     for u in _compositions(k, (ln,) * spec.m):
-        for combo in product(*(profiles[i][u[i]] for i in range(spec.m))):
-            out.add(float(agg(combo)))
+        out.update(_f_over_products(
+            comp, [profiles[i][u[i]] for i in range(spec.m)], memo))
     return frozenset(out)
 
 

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 
 from .bitstring import BitString
 from .blocks import (
@@ -441,8 +442,15 @@ def known_optimum(spec: InstanceSpec) -> float | None:
     instances with nonnegative weights and pairwise coefficients, and
     gated instances with nonnegative weights and constants where every
     gate is a ">=" test (clamping makes those thresholds reachable).
-    Small non-monotone instances (n <= 24) fall back to the exhaustive
-    scan; larger ones are reported unknown.
+
+    Small non-monotone instances (n <= 24) are certified over block-value
+    vectors instead of strings: f depends on a solution only through V,
+    and the blocks sit on disjoint bits, so every combination of
+    attainable block values is attainable. One pass over each block's
+    2^(n/m) substrings keeps the smallest witness of every distinct
+    value; fv on the string built from each combination of witnesses
+    gives the maximum, equal to exhaustive_optimum's value bit for bit.
+    Larger ones are reported unknown.
     """
     comp = compile_instance(spec)
     if spec.kind is Kind.DBP:
@@ -459,11 +467,28 @@ def known_optimum(spec: InstanceSpec) -> float | None:
         ):
             return float(comp.f_from_values(comp.vmax))
     if spec.n <= 24:
-        from .landscape import exhaustive_optimum
-
-        f, _ = exhaustive_optimum(spec)
-        return f
+        return _witness_optimum(comp)
     return None
+
+
+def _witness_optimum(comp: CompiledInstance) -> float:
+    """max f over every combination of per-block value witnesses."""
+    # most significant block first, witnesses ascending: product() then
+    # visits the strings in ascending integer order, as the 2^n scan
+    # does, so among equal maxima (0.0 and -0.0) the same one is kept
+    witnesses = []
+    for s, mk, fn in reversed(comp.parts):
+        first: dict[int, int] = {}
+        for v in range(mk + 1):
+            first.setdefault(fn(v), v << s)
+        witnesses.append(tuple(first.values()))
+    fv = comp.fv
+    best = None
+    for combo in product(*witnesses):
+        f = fv(sum(combo))[0]
+        if best is None or f > best:
+            best = f
+    return float(best)
 
 
 # -- named suites -----------------------------------------------------------

@@ -76,6 +76,10 @@ class SOConfig:
             raise ValueError("beta must be > 1")
         if self.variant == "two_rate" and self.lam % 2 != 0:
             raise ValueError("two_rate needs an even lam")
+        if self.variant == "var_ea" and self.f_var <= 0:
+            raise ValueError("f_var must be > 0")
+        if self.variant == "oll_ga" and self.f_oll <= 0:
+            raise ValueError("f_oll must be > 0")
         if self.variant == "mu_ga":
             if self.mu < 2:
                 raise ValueError("mu must be >= 2")
@@ -433,12 +437,17 @@ SINGLE_RUNNERS = {
 }
 
 
+_OPTIMUM = object()  # run_single's default target: the known optimum
+
+
 def run_single(cfg: SOConfig, problem: InstanceSpec, budget: int, rng: RandomSource,
-               target: float | None = None, trace=None) -> RunResult:
-    """Dispatch on cfg.variant; target defaults to the known optimum."""
+               target: float | None = _OPTIMUM, trace=None) -> RunResult:
+    """Dispatch on cfg.variant. target defaults to the known optimum
+    (computed here, per call); None means no target, and the run spends
+    its whole budget."""
     if cfg.variant not in SINGLE_RUNNERS:
         raise ValueError(f"unknown variant {cfg.variant!r}; "
                          f"choose from {sorted(SINGLE_RUNNERS)}")
-    if target is None:
+    if target is _OPTIMUM:
         target = known_optimum(problem)
     return SINGLE_RUNNERS[cfg.variant](cfg, problem, budget, target, rng, trace=trace)

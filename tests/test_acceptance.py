@@ -17,6 +17,8 @@ import math
 import random
 import time
 
+import pytest
+
 from blockbench.bitstring import BitString
 from blockbench.blocks import epistasis_transform, onemax
 from blockbench.harness import cmd_bi, cmd_run, load_config
@@ -149,6 +151,7 @@ def test_c3_magnitude_reproduction():
 # -- 4: rank order of the adaptive variants --------------------------------------
 
 
+@pytest.mark.slow
 def test_c4_ordering_reproduction():
     jump40 = make_suite_instance("F3", 40, 1)
     f5 = make_suite_instance("F5", 40, 4)
@@ -181,6 +184,7 @@ def test_c4_ordering_reproduction():
 # -- 5: the far-pair protection pays off on blockwise jump ------------------------
 
 
+@pytest.mark.slow
 def test_c5_diversity_effect():
     # KNOWN FAILURE, kept deliberately red. The far-pair protection is
     # fitness-blind: the protected pair's Hamming distance can only
@@ -259,6 +263,7 @@ def test_c6_multiobjective_correctness():
 # -- 7: relative behaviour of the five archive/population methods -----------------
 
 
+@pytest.mark.slow
 def test_c7_multiobjective_ranking():
     budget, pop, runs = 64_000, 40, 3
     shortfall = []

@@ -137,7 +137,11 @@ def test_load_config_algo_checks(tmp_path):
             ({"algos": "gsemo"}, "algos must be a list"),
             ({"checkpoints": 5}, "checkpoints must be"),
             ({"checkpoints": [1, True]}, "checkpoints must be"),
-            ({"out": 3}, "out must be a string")):
+            ({"out": 3}, "out must be a string"),
+            ({"algo": "oll_ga", "f_oll": 0}, "f_oll must be > 0"),
+            ({"algo": "oll_ga", "f_oll": -1.5}, "f_oll must be > 0"),
+            ({"algo": "var_ea", "f_var": -1}, "f_var must be > 0"),
+            ({"algo": "var_ea", "f_var": 0.0}, "f_var must be > 0")):
         p4 = write_config(tmp_path, "typed.json",
                           **{"problem": "F1", "n": 10, **fields})
         with pytest.raises(ConfigError, match=message):
@@ -178,6 +182,9 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("BLOCKBENCH_THREADS", raising=False)
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="--workers must be >= 1"):
+            resolve_workers(bad)
     monkeypatch.setenv("BLOCKBENCH_THREADS", "2")
     assert resolve_workers(8) == 2
     assert resolve_workers(1) == 1
@@ -369,6 +376,38 @@ def test_table2_smoke(tmp_path, capsys):
     assert "OneMax" in capsys.readouterr().out
 
 
+def test_target_certified_once_per_command(tmp_path, monkeypatch):
+    from blockbench import soea
+    from blockbench.blocks import onemax
+    from blockbench.harness import cmd_table2
+    from blockbench.problems import make_dbp, spec_to_dict
+
+    calls = []
+    real = harness.known_optimum
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    def refuse(spec):
+        raise AssertionError("run_single recomputed the target")
+
+    monkeypatch.setattr(harness, "known_optimum", counting)
+    monkeypatch.setattr(soea, "known_optimum", refuse)
+    # a negative weight: the target comes from the exact fallback
+    spec = make_dbp(8, (onemax(), onemax()), weights=(1, -1))
+    cfg = write_config(tmp_path, problem=spec_to_dict(spec), runs=5,
+                       budget=200, seed=4, out=str(tmp_path / "run"))
+    assert cmd_run(load_config(cfg)) == 0
+    assert calls == [spec]
+    meta = (tmp_path / "run" / "runs_meta.csv").read_text().splitlines()
+    assert len(meta) == 6 and all(r.endswith(",4") for r in meta[1:])
+    calls.clear()
+    assert cmd_table2(n=16, m=4, runs=2, seed=1, budget=50,
+                      out=str(tmp_path / "grid")) == 0
+    assert len(calls) == len(harness.TABLE2_ROWS)  # once per row
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
@@ -429,6 +468,23 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
             "-o", str(tmp_path / "scan.csv")], 2, "unknown instance id 'F99'")
     expect(["plot", str(tmp_path / "absent.csv"), "-o",
             str(tmp_path / "p.svg")], 2, "plot:")
+    # bad arguments and knob values exit 2 before any run starts
+    oll = write_config(tmp_path, "oll.json", problem="F1", n=8, runs=1,
+                       algo="oll_ga", f_oll=0)
+    expect(["run", "-c", str(oll)], 2, "f_oll must be > 0")
+    for workers in ("0", "-3"):
+        expect(["run", "-c", str(so), "--workers", workers], 2,
+               "--workers must be >= 1")
+    grid = str(tmp_path / "grid")
+    for argv, message in ((["--runs", "0"], "runs must be >= 1"),
+                          (["--budget", "0"], "budget must be >= 1"),
+                          (["--n", "10", "--m", "4"],
+                           "dimension 10 not divisible into 4 equal blocks"),
+                          (["--workers", "0"], "--workers must be >= 1")):
+        # small defaults, so that a missing check cannot start a long run
+        expect(["table2", "--n", "8", "--runs", "1", "--budget", "10",
+                "-o", grid] + argv, 2, message)
+    assert not (tmp_path / "grid").exists()
     monkeypatch.setenv("BLOCKBENCH_THREADS", "zounds")
     expect(["run", "-c", str(so), "--workers", "2"], 2,
            "BLOCKBENCH_THREADS must be a positive integer")

@@ -1,10 +1,13 @@
 """Problem composition: additive and gated objectives, the named
 instances, bi-objective pairs, validation, and serialization."""
 
+import random
+
 import pytest
 
 from blockbench.bitstring import BitString
-from blockbench.blocks import jump, leadingones, onemax
+from blockbench.blocks import epistasis, jump, leadingones, onemax
+from blockbench.landscape import exhaustive_optimum
 from blockbench.problems import (GateDir, InstanceSpec, Kind, ancestors,
                                  backward_path, biobjective_ids,
                                  compile_instance, evaluate, evaluate_bi,
@@ -328,6 +331,60 @@ def test_round_trip_preserves_dict_shape():
 
 
 def test_known_optimum_falls_back_to_scan():
-    # negative weight defeats the closed form; small n scans instead
+    # negative weight defeats the closed form; small n takes the exact
+    # fallback over block-value witnesses
     spec = make_dbp(6, (onemax(), onemax()), weights=(1, -1))
     assert known_optimum(spec) == 3.0
+
+
+def _random_non_monotone(rnd, kind, n, m):
+    """A random instance outside known_optimum's closed forms: negative or
+    fractional weights and constants, negative pair terms, "le" gates,
+    gate chains both ways and dependency DAGs that are not paths."""
+    ln = n // m
+    fams = [onemax, leadingones, lambda: epistasis(rnd.choice((2, 3)))]
+    if ln >= 2:
+        fams.append(lambda: jump(rnd.randint(1, ln - 1)))
+    coef = (-2, -1, -0.5, -0.1, 0, 0.1, 0.3, 0.5, 1, 1.5, 2)
+    while True:
+        blocks = [rnd.choice(fams)() for _ in range(m)]
+        weights = [rnd.choice(coef) for _ in range(m)]
+        constants = [rnd.choice(coef) for _ in range(m)]
+        if kind is Kind.DBP:
+            deps = [[rnd.choice(coef) if j < i else 0 for j in range(m)]
+                    for i in range(m)]
+            spec = make_dbp(n, blocks, weights, constants, deps)
+            lower = [deps[i][j] for i in range(m) for j in range(i)]
+            monotone = min(weights) >= 0 and min(lower, default=0) >= 0
+        else:
+            shape = rnd.randrange(3)
+            if shape < 2:  # a gate chain: fv sums in chain order
+                deps = [list(r) for r in (forward_path, backward_path)[shape](m)]
+            else:  # edges follow a random order
+                order = rnd.sample(range(m), m)
+                deps = [[0] * m for _ in range(m)]
+                for a in range(m):
+                    for b in range(a + 1, m):
+                        if rnd.random() < 0.5:
+                            deps[order[a]][order[b]] = 1
+            dirs = [rnd.choice((GateDir.GE, GateDir.LE)) for _ in range(m)]
+            thresholds = [rnd.randint(-1, ln + 2) for _ in range(m)]
+            spec = make_gcp(n, blocks, deps, thresholds, weights, constants,
+                            dirs)
+            monotone = (min(weights) >= 0 and min(constants) >= 0
+                        and GateDir.LE not in dirs)
+        if not monotone:
+            return spec
+
+
+def test_known_optimum_equals_exhaustive_scan():
+    rnd = random.Random(2024)
+    shapes = ((2, 1), (4, 1), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4),
+              (9, 3), (10, 2), (10, 5), (12, 3), (12, 4), (12, 6))
+    for i in range(240):
+        kind = (Kind.DBP, Kind.GCP)[i % 2]
+        n, m = (16, 4) if i % 40 == 0 else rnd.choice(shapes)
+        spec = _random_non_monotone(rnd, kind, n, m)
+        got = known_optimum(spec)
+        want = exhaustive_optimum(spec)[0]
+        assert repr(got) == repr(want), (i, spec)

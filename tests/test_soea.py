@@ -85,6 +85,21 @@ def test_custom_target_stops_early():
     assert part.hit_index <= full.hit_index
 
 
+def test_none_target_means_no_target(monkeypatch):
+    import blockbench.soea as soea
+    spec = make_suite_instance("F1", 8, 1)
+    calls = []
+    monkeypatch.setattr(soea, "known_optimum",
+                        lambda s: calls.append(s) or 8.0)
+    res = run_single(cfg_for("ea"), spec, 500, RandomSource(4), target=None)
+    assert calls == []  # an explicit None is not recomputed
+    assert not res.hit_target and res.hit_index is None
+    assert res.evaluations_used == 500
+    res = run_single(cfg_for("ea"), spec, 500, RandomSource(4))
+    assert calls == [spec]  # the default target is the known optimum
+    assert res.hit_target
+
+
 # -- per-variant control traces ----------------------------------------------
 
 
