@@ -80,6 +80,15 @@ def _bi(tmp):
     return ["bi", "-c", str(cfg), "-o", str(tmp / "out")]
 
 
+def _bi_small_pop(tmp):
+    # pop_size 8 truncates the critical front in most generations, and
+    # the LeadingOnes blocks of BF5 give fronts full of ties
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "BF5", "n": 16, "m": 4, "runs": 1,
+                               "pop_size": 8, "seed": 11}), encoding="utf-8")
+    return ["bi", "-c", str(cfg), "-o", str(tmp / "out")]
+
+
 def _table2(tmp):
     return ["table2", "--n", "16", "--m", "4", "--runs", "2", "--seed", "3",
             "--budget", "2000", "-o", str(tmp / "out")]
@@ -99,7 +108,8 @@ def _distance(tmp):
 
 
 CASES = {f"run-{v}": _run_variant(v) for v in VARIANTS}
-CASES.update({"table2": _table2, "bi-BF4": _bi, "landscape-F10": _landscape,
+CASES.update({"table2": _table2, "bi-BF4": _bi, "bi-BF5-pop8": _bi_small_pop,
+              "landscape-F10": _landscape,
               "run-ea-gcp-le": _run_inline("gcp-le", "ea", 11),
               "run-two_rate-dbp-neg": _run_inline("dbp-neg", "two_rate", 13),
               "landscape-F9-distance": _distance})
