@@ -63,15 +63,16 @@ __all__ = [
 
 MULTI_ORDER = ("semo", "gsemo", "nsga2", "smsemoa", "moead")
 
-# Comparison-table layout: four single-block rows, then the mixed
-# four-block composite of each kind.
+# Comparison-table layout: (label, suite id, composite). Four
+# single-block rows, then the mixed composite of each kind, which is
+# built with the table's block count m.
 TABLE2_ROWS = (
-    ("OneMax", "F1", 1),
-    ("LeadingOnes", "F2", 1),
-    ("Jump_3", "F3", 1),
-    ("Epistasis", "F4", 1),
-    ("DBP (F5)", "F5", 4),
-    ("GCP (F10)", "F10", 4),
+    ("OneMax", "F1", False),
+    ("LeadingOnes", "F2", False),
+    ("Jump_3", "F3", False),
+    ("Epistasis", "F4", False),
+    ("DBP (F5)", "F5", True),
+    ("GCP (F10)", "F10", True),
 )
 TABLE2_COLUMNS = ("oll_ga", "ea", "two_rate", "var_ea", "fga")
 
@@ -597,8 +598,8 @@ def cmd_table2(n: int = 40, m: int = 4, runs: int = 50, seed: int = 1,
     if budget < 1:
         raise ConfigError(f"table2: budget must be >= 1, got {budget}")
     try:
-        specs = [make_suite_instance(pid, n, min(row_m, m))
-                 for _, pid, row_m in TABLE2_ROWS]
+        specs = [make_suite_instance(pid, n, m if composite else 1)
+                 for _, pid, composite in TABLE2_ROWS]
     except ValueError as exc:
         raise ConfigError(f"table2: {exc}") from None
     outdir = Path(out)

@@ -20,6 +20,7 @@ formulation (the initial population is evaluated but not archived).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -57,21 +58,31 @@ def weakly_dominates(a: Pair, b: Pair) -> bool:
 
 def non_dominated_sort(pairs) -> list[list[int]]:
     """Peel dominance fronts; front 0 is the non-dominated set, front k
-    is non-dominated once earlier fronts are removed."""
-    count = len(pairs)
-    if count == 0:
-        return []
-    a = np.asarray(pairs, dtype=float)
-    ge = (a[:, None, :] >= a[None, :, :]).all(axis=2)
-    ne = (a[:, None, :] != a[None, :, :]).any(axis=2)
-    dom = ge & ne  # dom[i, j]: i dominates j
-    alive = np.ones(count, dtype=bool)
+    is non-dominated once earlier fronts are removed. Each front lists
+    its indices in ascending order.
+
+    Two-objective sweep (Jensen, IEEE TEVC 2003): visit the points by
+    descending (f1, f2), so a point can only be dominated by one seen
+    before it. A front then dominates the point exactly when its latest
+    member has f2 at least the point's and differs from it, that is,
+    when that member's (f2, f1) is lexicographically larger. Fronts are
+    nested on that test, so the point joins the first front that does
+    not dominate it, found by bisection, or opens a new one.
+    """
     fronts: list[list[int]] = []
-    while alive.any():
-        n_dominators = (dom & alive[:, None]).sum(axis=0)
-        cur = alive & (n_dominators == 0)
-        fronts.append(np.flatnonzero(cur).tolist())
-        alive &= ~cur
+    keys: list[Pair] = []  # (-f2, -f1) of each front's latest member
+    for i in sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True):
+        p0, p1 = pairs[i]
+        key = (-p1, -p0)
+        k = bisect_left(keys, key)
+        if k == len(fronts):
+            fronts.append([i])
+            keys.append(key)
+        else:
+            fronts[k].append(i)
+            keys[k] = key
+    for fr in fronts:
+        fr.sort()
     return fronts
 
 
@@ -112,12 +123,25 @@ def hypervolume_2d(points, ref: Pair = (0.0, 0.0)) -> float:
 
 
 def hv_contributions(front, ref: Pair = (0.0, 0.0)) -> list[float]:
-    """Exclusive hypervolume of each point (total minus leave-one-out)."""
-    pts = list(front)
-    total = hypervolume_2d(pts, ref)
-    out = []
-    for i in range(len(pts)):
-        out.append(total - hypervolume_2d(pts[:i] + pts[i + 1:], ref))
+    """Exclusive hypervolume of each point of a mutually non-dominated
+    front: the area that only that point dominates above the reference.
+
+    Sorted-neighbour rectangle for two objectives (Emmerich, Beume &
+    Naujoks, EMO 2005): with the points ordered by descending f1 (and
+    so ascending f2), a point's share is its f1 gap to the next point
+    times its f2 gap to the previous one, the reference standing in at
+    either end. A point equal to a neighbour has a zero gap, and a
+    point on or below the reference is left out, so both contribute
+    0.0. Values are floats even for int input.
+    """
+    r1, r2 = ref
+    out = [0.0] * len(front)
+    live = [i for i, p in enumerate(front) if p[0] > r1 and p[1] > r2]
+    live.sort(key=front.__getitem__, reverse=True)
+    f1 = [front[i][0] for i in live] + [r1]
+    f2 = [r2] + [front[i][1] for i in live]
+    for pos, i in enumerate(live):
+        out[i] = float((f1[pos] - f1[pos + 1]) * (f2[pos + 1] - f2[pos]))
     return out
 
 

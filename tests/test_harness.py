@@ -408,6 +408,25 @@ def test_target_certified_once_per_command(tmp_path, monkeypatch):
     assert len(calls) == len(harness.TABLE2_ROWS)  # once per row
 
 
+def test_table2_composite_rows_use_m(tmp_path, monkeypatch):
+    from blockbench.harness import cmd_table2
+
+    calls = []
+    real = harness.make_suite_instance
+
+    def recording(pid, n, m):
+        calls.append((pid, n, m))
+        return real(pid, n, m)
+
+    monkeypatch.setattr(harness, "make_suite_instance", recording)
+    out = tmp_path / "grid"
+    assert cmd_table2(n=40, m=8, runs=1, seed=1, budget=10,
+                      out=str(out)) == 0
+    assert calls == [("F1", 40, 1), ("F2", 40, 1), ("F3", 40, 1),
+                     ("F4", 40, 1), ("F5", 40, 8), ("F10", 40, 8)]
+    assert json.loads((out / "table2.json").read_text())["m"] == 8
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
@@ -480,6 +499,8 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
                           (["--budget", "0"], "budget must be >= 1"),
                           (["--n", "10", "--m", "4"],
                            "dimension 10 not divisible into 4 equal blocks"),
+                          (["--n", "16", "--m", "8"],
+                           "jump gap k=3 must be below block length 2"),
                           (["--workers", "0"], "--workers must be >= 1")):
         # small defaults, so that a missing check cannot start a long run
         expect(["table2", "--n", "8", "--runs", "1", "--budget", "10",

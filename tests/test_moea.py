@@ -2,6 +2,7 @@
 archive semantics, and the five population runners."""
 
 import math
+import random
 
 import pytest
 
@@ -59,6 +60,26 @@ def test_non_dominated_sort_matches_pairwise_oracle():
         pairs = [(float(rng.index_below(5)), float(rng.index_below(5)))
                  for _ in range(count)]
         assert non_dominated_sort(pairs) == brute_fronts(pairs)
+
+
+def _objective(rng, span):
+    """Value in [-span/4, span): an int, a float, or a half-integer."""
+    v = rng.randrange(-(span // 4), span)
+    return rng.choice((v, float(v), v + 0.5))
+
+
+def test_non_dominated_sort_sweep_matches_oracle_large():
+    # populations of 1-80 points mixing ints and floats, with negative
+    # values; narrow value ranges force duplicates and long tie chains
+    rng = random.Random(2003)
+    for _ in range(2000):
+        count = rng.randint(1, 80)
+        span = rng.randint(2, 40)
+        pairs = [(_objective(rng, span), _objective(rng, span))
+                 for _ in range(count)]
+        for _ in range(rng.randint(0, count // 4)):
+            pairs[rng.randrange(count)] = rng.choice(pairs)
+        assert non_dominated_sort(pairs) == brute_fronts(pairs), pairs
 
 
 # -- crowding distance ----------------------------------------------------------
@@ -119,6 +140,43 @@ def test_hv_contributions():
     assert hv_contributions([(2.0, 2.0), (2.0, 2.0)]) == [0.0, 0.0]
     got = hv_contributions([(4.0, 1.0), (3.0, 3.0), (1.0, 4.0)])
     assert got == [1.0, 4.0, 1.0]
+    assert hv_contributions([]) == []
+    # on or below the reference: nothing
+    got = hv_contributions([(5.0, 0.0), (2.0, 2.0), (0.0, 5.0)])
+    assert got == [0.0, 4.0, 0.0]
+    # int input comes back as floats
+    got = hv_contributions([(3, 1), (1, 3), (1, 3)], ref=(0, 0))
+    assert got == [2.0, 0.0, 0.0]
+    assert all(type(c) is float for c in got)
+
+
+def leave_one_out(front, ref):
+    """Reference rule: total hypervolume minus that without the point."""
+    pts = list(front)
+    total = hypervolume_2d(pts, ref)
+    return [total - hypervolume_2d(pts[:i] + pts[i + 1:], ref)
+            for i in range(len(pts))]
+
+
+def test_hv_contributions_match_leave_one_out():
+    rng = random.Random(2005)
+    for _ in range(2000):
+        # k distinct f1 values paired with k distinct f2 values in the
+        # opposite order: a mutually non-dominated integer front
+        k = rng.randint(1, 30)
+        front = list(zip(sorted(rng.sample(range(-15, 45), k)),
+                         sorted(rng.sample(range(-15, 45), k), reverse=True)))
+        front += [rng.choice(front) for _ in range(rng.randint(0, k))]
+        rng.shuffle(front)
+        if rng.getrandbits(1):
+            front = [(float(a), float(b)) for a, b in front]
+        ref = (rng.randrange(-20, 10), rng.randrange(-20, 10))
+        if rng.getrandbits(1):
+            ref = (float(ref[0]), float(ref[1]))
+        got = hv_contributions(front, ref)
+        want = leave_one_out(front, ref)
+        assert all(type(c) is float for c in got)
+        assert [repr(c) for c in got] == [repr(c) for c in want], (front, ref)
 
 
 # -- environmental selection ------------------------------------------------------
