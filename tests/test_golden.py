@@ -73,20 +73,14 @@ def _run_inline(name, algo, seed):
     return go
 
 
-def _bi(tmp):
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"problem": "BF4", "n": 16, "m": 4, "runs": 1,
-                               "seed": 5}), encoding="utf-8")
-    return ["bi", "-c", str(cfg), "-o", str(tmp / "out")]
-
-
-def _bi_small_pop(tmp):
-    # pop_size 8 truncates the critical front in most generations, and
-    # the LeadingOnes blocks of BF5 give fronts full of ties
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"problem": "BF5", "n": 16, "m": 4, "runs": 1,
-                               "pop_size": 8, "seed": 11}), encoding="utf-8")
-    return ["bi", "-c", str(cfg), "-o", str(tmp / "out")]
+def _bi(problem, seed, **extra):
+    def go(tmp):
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"problem": problem, "n": 16, "m": 4,
+                                   "runs": 1, **extra, "seed": seed}),
+                       encoding="utf-8")
+        return ["bi", "-c", str(cfg), "-o", str(tmp / "out")]
+    return go
 
 
 def _table2(tmp):
@@ -108,7 +102,13 @@ def _distance(tmp):
 
 
 CASES = {f"run-{v}": _run_variant(v) for v in VARIANTS}
-CASES.update({"table2": _table2, "bi-BF4": _bi, "bi-BF5-pop8": _bi_small_pop,
+CASES.update({"table2": _table2, "bi-BF4": _bi("BF4", 5),
+              # pop_size 8 truncates the critical front in most generations,
+              # and the LeadingOnes blocks of BF5 give fronts full of ties
+              "bi-BF5-pop8": _bi("BF5", 11, pop_size=8),
+              # negative weights with constants (BF1/2), and a backward
+              # chain of "le" gates at threshold 0 (BF2/2)
+              "bi-BF1": _bi("BF1", 17), "bi-BF2": _bi("BF2", 19),
               "landscape-F10": _landscape,
               "run-ea-gcp-le": _run_inline("gcp-le", "ea", 11),
               "run-two_rate-dbp-neg": _run_inline("dbp-neg", "two_rate", 13),
