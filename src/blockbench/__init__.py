@@ -19,7 +19,8 @@ from .blocks import (Family, BlockFunction, onemax, leadingones, jump,
 from .problems import (Kind, GateDir, InstanceSpec, Evaluation,
                        BiObjectiveInstance, make_dbp, make_gcp, validate_spec,
                        ancestors, forward_path, backward_path, zero_matrix,
-                       compile_instance, evaluate, evaluate_bi, known_optimum,
+                       compile_instance, compile_bi, evaluate, evaluate_bi,
+                       known_optimum,
                        make_suite_instance, make_biobjective, suite_ids,
                        biobjective_ids, spec_to_dict, spec_from_dict,
                        spec_to_json, spec_from_json)
@@ -46,7 +47,8 @@ __all__ = [
     "compile_block",
     "Kind", "GateDir", "InstanceSpec", "Evaluation", "BiObjectiveInstance",
     "make_dbp", "make_gcp", "validate_spec", "ancestors", "forward_path",
-    "backward_path", "zero_matrix", "compile_instance", "evaluate",
+    "backward_path", "zero_matrix", "compile_instance", "compile_bi",
+    "evaluate",
     "evaluate_bi", "known_optimum", "make_suite_instance", "make_biobjective",
     "suite_ids", "biobjective_ids", "spec_to_dict", "spec_from_dict",
     "spec_to_json", "spec_from_json",

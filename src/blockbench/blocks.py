@@ -41,6 +41,7 @@ __all__ = [
     "block_max",
     "block_optimum",
     "compile_block",
+    "epistasis_segments",
 ]
 
 
@@ -49,6 +50,10 @@ class Family(str, Enum):
     LEADINGONES = "leadingones"
     JUMP = "jump"
     EPISTASIS = "epistasis"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -67,13 +72,13 @@ class BlockFunction:
 
     def __post_init__(self):
         if self.family is Family.JUMP:
-            if self.k is None or self.k < 1:
-                raise ValueError("jump needs k >= 1")
+            if not _is_int(self.k) or self.k < 1:
+                raise ValueError(f"jump needs an integer k >= 1, got {self.k!r}")
             if self.nu is not None:
                 raise ValueError("jump takes no nu")
         elif self.family is Family.EPISTASIS:
-            if self.nu is None or self.nu < 2:
-                raise ValueError("epistasis needs nu >= 2")
+            if not _is_int(self.nu) or self.nu < 2:
+                raise ValueError(f"epistasis needs an integer nu >= 2, got {self.nu!r}")
             if self.k is not None:
                 raise ValueError("epistasis takes no k")
         else:
@@ -234,7 +239,12 @@ def compile_block(bf: BlockFunction, length: int) -> Callable[[int], int]:
     return _compile_epistasis(bf.nu, length)
 
 
-def _compile_epistasis(nu: int, length: int) -> Callable[[int], int]:
+@lru_cache(maxsize=256)
+def epistasis_segments(nu: int, length: int):
+    """(tail shift, segments) of a compiled epistasis block: the block
+    value is the ones of v >> tail shift (None when nu divides the
+    length) plus table[(v >> shift) & mask] of every (shift, mask,
+    table) segment, each table folding up to 12 bits of input."""
     gmap = _group_map(nu)
     gvals = [o.bit_count() for o in gmap]
     full_groups = length // nu
@@ -252,9 +262,13 @@ def _compile_epistasis(nu: int, length: int) -> Callable[[int], int]:
             table[v] = s
         segments.append((g0 * nu, (1 << width) - 1, tuple(table)))
         g0 += gq
-    tail_shift = full_groups * nu
+    tail_shift = full_groups * nu if length % nu else None
+    return tail_shift, tuple(segments)
 
-    if length % nu == 0:
+
+def _compile_epistasis(nu: int, length: int) -> Callable[[int], int]:
+    tail_shift, segments = epistasis_segments(nu, length)
+    if tail_shift is None:
         def _epi(v: int) -> int:
             s = 0
             for sh, mk, tb in segments:

@@ -17,7 +17,8 @@ from itertools import product
 
 from .bitstring import BitString
 from .blocks import BlockFunction, block_optimum, compile_block
-from .problems import BiObjectiveInstance, InstanceSpec, compile_instance
+from .problems import (BiObjectiveInstance, InstanceSpec, compile_bi,
+                       compile_instance)
 
 __all__ = [
     "exhaustive_optimum",
@@ -42,14 +43,13 @@ def exhaustive_optimum(spec: InstanceSpec) -> tuple[float, BitString]:
     smallest argmax (by the 0/1 text form) for reproducible logs."""
     if spec.n > SCAN_LIMIT:
         raise ValueError(f"refusing full scan beyond n={SCAN_LIMIT} (got {spec.n})")
-    comp = compile_instance(spec)
-    fv = comp.fv
+    f_of = compile_instance(spec).f
     n = spec.n
-    best_f = fv(0)[0]
+    best_f = f_of(0)
     best_v = 0
     best_key = None
     for v in range(1, 1 << n):
-        f = fv(v)[0]
+        f = f_of(v)
         if f > best_f:
             best_f, best_v, best_key = f, v, None
         elif f == best_f:
@@ -190,11 +190,10 @@ def pareto_front_oracle(inst: BiObjectiveInstance) -> list[tuple[tuple[float, fl
     n = inst.n
     if n > PROFILE_LIMIT:
         raise ValueError(f"refusing full scan beyond n={PROFILE_LIMIT} (got {n})")
-    fv1 = compile_instance(inst.first).fv
-    fv2 = compile_instance(inst.second).fv
+    fvv = compile_bi(inst)
     reps: dict[tuple[float, float], int] = {}
     for v in range(1 << n):
-        pair = (fv1(v)[0], fv2(v)[0])
+        pair = fvv(v)[:2]
         if pair not in reps:
             reps[pair] = v
     # sweep out dominated pairs: sort by y1 desc, y2 desc; keep strict y2 risers

@@ -25,7 +25,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .bitstring import BitString
-from .problems import BiObjectiveInstance, compile_instance
+from .problems import BiObjectiveInstance, compile_bi
 from .rng import RandomSource
 
 __all__ = [
@@ -147,21 +147,25 @@ def hv_contributions(front, ref: Pair = (0.0, 0.0)) -> list[float]:
 
 def environmental_selection(pairs, pop_size: int, rng: RandomSource,
                             metric: str = "crowding",
-                            reference: Pair = (0.0, 0.0)) -> list[int]:
-    """Indices surviving generational truncation to pop_size.
+                            reference: Pair = (0.0, 0.0)) -> list[list[int]]:
+    """Fronts of the indices surviving generational truncation to
+    pop_size; their concatenation is the survivors in order.
 
     Whole fronts are kept while they fit; the critical front is cut by
     the chosen metric (crowding distance or exclusive hypervolume),
-    largest first, ties uniformly at random.
+    largest first, ties uniformly at random. Survivors keep their
+    fronts: each kept point is dominated from the front before its own,
+    which is kept whole.
     """
     fronts = non_dominated_sort(pairs)
-    keep: list[int] = []
+    kept: list[list[int]] = []
+    room = pop_size
     for fr in fronts:
-        if len(keep) + len(fr) <= pop_size:
-            keep.extend(fr)
+        if len(fr) <= room:
+            kept.append(fr)
+            room -= len(fr)
             continue
-        need = pop_size - len(keep)
-        if need > 0:
+        if room > 0:
             sub = [pairs[i] for i in fr]
             if metric == "crowding":
                 scores = crowding_distance(sub)
@@ -170,9 +174,9 @@ def environmental_selection(pairs, pop_size: int, rng: RandomSource,
             else:
                 raise ValueError(f"unknown metric {metric!r}")
             order = sorted(range(len(fr)), key=lambda t: (-scores[t], rng.random()))
-            keep.extend(fr[t] for t in order[:need])
+            kept.append([fr[t] for t in order[:room]])
         break
-    return keep
+    return kept
 
 
 class ParetoArchive:
@@ -242,41 +246,36 @@ class _MoRun:
     and change-driven progress rows (evals, hv, best per objective,
     best per block)."""
 
-    __slots__ = ("n", "m", "fv1", "fv2", "budget", "evals", "archive",
+    __slots__ = ("n", "fvv", "budget", "evals", "archive",
                  "y1max", "y2max", "vmax", "rows")
 
     def __init__(self, inst: BiObjectiveInstance, budget: int):
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        c1 = compile_instance(inst.first)
-        c2 = compile_instance(inst.second)
-        self.n = c1.n
-        self.m = c1.m
-        self.fv1 = c1.fv
-        self.fv2 = c2.fv
+        self.n = inst.n
+        self.fvv = compile_bi(inst)
         self.budget = budget
         self.evals = 0
-        self.archive = ParetoArchive(c1.n)
-        self.y1max = None
-        self.y2max = None
-        self.vmax = [None] * c1.m
+        self.archive = ParetoArchive(inst.n)
+        self.y1max = -math.inf  # the first evaluation sets every best
+        self.y2max = -math.inf
+        self.vmax = [-math.inf] * inst.first.m
         self.rows: list = []
 
     def evaluate(self, v: int, archive: bool = True) -> Pair:
         self.evals += 1
-        f1, V = self.fv1(v)
-        f2, _ = self.fv2(v)
+        f1, f2, V = self.fvv(v)
         pair = (f1, f2)
         changed = self.archive.try_insert(v, pair, self.evals) if archive else False
-        if self.y1max is None or f1 > self.y1max:
+        if f1 > self.y1max:
             self.y1max = f1
             changed = True
-        if self.y2max is None or f2 > self.y2max:
+        if f2 > self.y2max:
             self.y2max = f2
             changed = True
         vm = self.vmax
         for i, val in enumerate(V):
-            if vm[i] is None or val > vm[i]:
+            if val > vm[i]:
                 vm[i] = val
                 changed = True
         if changed:
@@ -346,8 +345,8 @@ def _generational(inst: BiObjectiveInstance, pop_size: int, budget: int,
         v = g(n)
         objs.append(run.evaluate(v))
         pop.append(v)
+    fronts = non_dominated_sort(objs)
     while run.evals + pop_size <= budget:
-        fronts = non_dominated_sort(objs)
         rank = [0] * len(pop)
         crowd = [0.0] * len(pop)
         for fi, fr in enumerate(fronts):
@@ -368,10 +367,17 @@ def _generational(inst: BiObjectiveInstance, pop_size: int, budget: int,
                 child ^= pm(n, flips)
             objs.append(run.evaluate(child))
             pop.append(child)
-        keep = environmental_selection(objs, pop_size, rng, metric=metric,
+        kept = environmental_selection(objs, pop_size, rng, metric=metric,
                                        reference=run.archive.reference)
+        # the survivors are renumbered in order, so their fronts, which
+        # selection has just found, become consecutive index ranges
+        keep = [i for fr in kept for i in fr]
         pop = [pop[i] for i in keep]
         objs = [objs[i] for i in keep]
+        fronts, start = [], 0
+        for fr in kept:
+            fronts.append(list(range(start, start + len(fr))))
+            start += len(fr)
     return run.finish()
 
 

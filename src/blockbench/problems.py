@@ -17,21 +17,24 @@ its block function, giving the value vector V. Two aggregation kinds:
 
 The module also instantiates the named single-objective suite F1..F10
 and the bi-objective pairs BF1..BF5, serializes instances to JSON, and
-compiles instances into fast closures over the raw backing integers for
-the solver hot loops.
+compiles instances into generated evaluators over the raw backing
+integers for the solver hot loops.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .bitstring import BitString
 from .blocks import (
     BlockFunction,
+    Family,
+    _is_int,
     block_max,
     compile_block,
     epistasis,
@@ -39,6 +42,7 @@ from .blocks import (
     leadingones,
     onemax,
 )
+from .codegen import instance_evaluators, pair_evaluator
 
 __all__ = [
     "Kind",
@@ -61,6 +65,7 @@ __all__ = [
     "suite_ids",
     "biobjective_ids",
     "compile_instance",
+    "compile_bi",
     "CompiledInstance",
     "spec_to_dict",
     "spec_from_dict",
@@ -202,6 +207,8 @@ def _raise_if_invalid(spec: InstanceSpec) -> None:
 def validate_spec(spec: InstanceSpec) -> list[str]:
     """All structural violations, empty list when the spec is sound."""
     errs: list[str] = []
+    if not (_is_int(spec.n) and _is_int(spec.m)):
+        return [f"n and m must be integers, got {spec.n!r} and {spec.m!r}"]
     if spec.m < 1:
         errs.append(f"block count must be >= 1, got {spec.m}")
         return errs
@@ -215,6 +222,15 @@ def validate_spec(spec: InstanceSpec) -> list[str]:
         errs.append(f"expected {spec.m} constants, got {len(spec.constants)}")
     if len(spec.dependencies) != spec.m or any(len(r) != spec.m for r in spec.dependencies):
         errs.append("dependency matrix must be m x m")
+    for label, values in (
+        ("weights", spec.weights), ("constants", spec.constants),
+        ("dependencies", list(chain.from_iterable(spec.dependencies))),
+        ("thresholds", spec.thresholds or ()),
+    ):
+        if not set(map(type, values)) <= {int}:  # all ints: nothing to check
+            bad = [x for x in values if not _is_number(x)]
+            if bad:
+                errs.append(f"{label} must be finite numbers, got {bad[0]!r}")
     if errs:
         return errs
 
@@ -238,6 +254,12 @@ def validate_spec(spec: InstanceSpec) -> list[str]:
         except ValueError:
             errs.append("dependency graph has a cycle")
     return errs
+
+
+def _is_number(x) -> bool:
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
 
 
 def _all_ancestors(dependencies) -> tuple[frozenset[int], ...]:
@@ -275,139 +297,55 @@ def ancestors(dependencies, i: int) -> frozenset[int]:
 
 
 class CompiledInstance:
-    """Fast evaluator over raw backing integers.
+    """Fast evaluators over raw backing integers, generated per instance
+    (see codegen for the template and its float-order contract).
 
-    fv(v) maps the integer form of a solution to (f, block values) and
-    is the hot path; f_from_values / gates_from_values aggregate from a
-    block-value vector directly, which the landscape scans rely on
-    (f depends on x only through the block values).
+    fv(v) maps the integer form of a solution to (f, block values); f(v)
+    returns f alone and is the solvers' hot path. f_from_values and
+    gates_from_values aggregate from a block-value vector directly,
+    which the landscape scans rely on (f depends on x only through the
+    block values). fv and f add their terms in one order and
+    f_from_values in another, so the two may differ in the last bit or
+    in type.
     """
 
     __slots__ = (
-        "spec", "n", "m", "parts", "vmax", "eff_thresholds",
-        "fv", "f_from_values", "gates_from_values",
+        "spec", "n", "m", "parts", "vmax", "eff_thresholds", "pairs",
+        "ancestors", "plain", "chain",
+        "fv", "f", "f_from_values", "gates_from_values",
     )
 
     def __init__(self, spec: InstanceSpec):
         _raise_if_invalid(spec)
         self.spec = spec
         self.n = spec.n
-        self.m = spec.m
+        m = self.m = spec.m
         ln = spec.block_length
         self.parts = tuple(
             (i * ln, (1 << ln) - 1, compile_block(bf, ln))
             for i, bf in enumerate(spec.blocks)
         )
         self.vmax = tuple(block_max(bf, ln) for bf in spec.blocks)
+        self.pairs = tuple(
+            (i, j, spec.dependencies[i][j])
+            for i in range(m) for j in range(i) if spec.dependencies[i][j] != 0
+        )
+        self.plain = self.chain = self.eff_thresholds = self.ancestors = None
         if spec.kind is Kind.DBP:
-            self.eff_thresholds = None
-            self._build_additive()
+            self.plain = not self.pairs and sum(spec.constants) == 0 and all(
+                w == 1 for w in spec.weights)
         else:
             self.eff_thresholds = tuple(
                 min(b, vm) if d is GateDir.GE else max(b, 0)
                 for b, vm, d in zip(spec.thresholds, self.vmax, spec.gate_dirs)
             )
-            self._build_gated()
-
-    # additive aggregation
-
-    def _build_additive(self):
-        spec = self.spec
-        m = self.m
-        parts = self.parts
-        weights = spec.weights
-        base = sum(spec.constants)
-        pairs = tuple(
-            (i, j, spec.dependencies[i][j])
-            for i in range(m)
-            for j in range(i)
-            if spec.dependencies[i][j] != 0
-        )
-
-        def f_from_values(V):
-            f = base
-            for w, v in zip(weights, V):
-                f += w * v
-            for i, j, e in pairs:
-                f += e * V[i] * V[j]
-            return f
-
-        gates_true = (True,) * m
-
-        def gates_from_values(V):
-            return gates_true
-
-        self.f_from_values = f_from_values
-        self.gates_from_values = gates_from_values
-
-        plain = not pairs and all(w == 1 for w in weights) and base == 0
-        if m == 1 and plain:
-            fn = parts[0][2]
-
-            def fv(v, _fn=fn):
-                val = _fn(v)
-                return float(val), (val,)
-        elif plain:
-            def fv(v):
-                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
-                return float(sum(V)), V
-        else:
-            def fv(v):
-                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
-                return f_from_values(V), V
-        self.fv = fv
-
-    # gated aggregation
-
-    def _build_gated(self):
-        spec = self.spec
-        m = self.m
-        parts = self.parts
-        weights = spec.weights
-        consts = spec.constants
-        anc = _all_ancestors(spec.dependencies)
-        anc_lists = tuple(tuple(sorted(a)) for a in anc)
-        tests = tuple(
-            (lambda v, b=b: v >= b) if d is GateDir.GE else (lambda v, b=b: v <= b)
-            for b, d in zip(self.eff_thresholds, spec.gate_dirs)
-        )
-
-        def gates_from_values(V):
-            own = [t(v) for t, v in zip(tests, V)]
-            return tuple(all(own[j] for j in a) for a in anc_lists)
-
-        def f_from_values(V):
-            f = 0.0
-            own = [t(v) for t, v in zip(tests, V)]
-            for i in range(m):
-                if all(own[j] for j in anc_lists[i]):
-                    f += consts[i] + weights[i] * V[i]
-            return f
-
-        self.f_from_values = f_from_values
-        self.gates_from_values = gates_from_values
-
-        forward = all(anc[i] == frozenset(range(i)) for i in range(m))
-        if forward or all(anc[i] == frozenset(range(i + 1, m)) for i in range(m)):
-            # a gate chain: each block in order gates all the blocks after it
-            order = range(m) if forward else range(m - 1, -1, -1)
-            head = order[0]
-            # (test, gating block, block): a failed test closes the rest
-            chain = tuple((tests[g], g, b) for g, b in zip(order, order[1:]))
-
-            def fv(v):
-                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
-                f = consts[head] + weights[head] * V[head]
-                for test, g, b in chain:
-                    if not test(V[g]):
-                        break
-                    f += consts[b] + weights[b] * V[b]
-                return f, V
-        else:
-            def fv(v):
-                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
-                return f_from_values(V), V
-        self.fv = fv
+            anc = self.ancestors = _all_ancestors(spec.dependencies)
+            if all(anc[i] == frozenset(range(i)) for i in range(m)):
+                self.chain = tuple(range(m))  # each block gates all after it
+            elif all(anc[i] == frozenset(range(i + 1, m)) for i in range(m)):
+                self.chain = tuple(range(m - 1, -1, -1))
+        self.fv, self.f, self.f_from_values, self.gates_from_values = (
+            instance_evaluators(self))
 
     # boundary conveniences
 
@@ -431,6 +369,16 @@ def evaluate(spec: InstanceSpec, x: BitString) -> Evaluation:
     return compile_instance(spec).evaluate_bits(x)
 
 
+@lru_cache(maxsize=None)
+def compile_bi(inst: BiObjectiveInstance):
+    """One generated evaluator v -> (f1, f2, V) of both objectives, with
+    each f equal to its objective's fv and V the first objective's block
+    values. Objectives that share their blocks share one extraction;
+    otherwise each extracts its own."""
+    return pair_evaluator(compile_instance(inst.first),
+                          compile_instance(inst.second))
+
+
 def evaluate_bi(inst: BiObjectiveInstance, x: BitString) -> tuple[Evaluation, Evaluation]:
     return evaluate(inst.first, x), evaluate(inst.second, x)
 
@@ -448,7 +396,7 @@ def known_optimum(spec: InstanceSpec) -> float | None:
     and the blocks sit on disjoint bits, so every combination of
     attainable block values is attainable. One pass over each block's
     2^(n/m) substrings keeps the smallest witness of every distinct
-    value; fv on the string built from each combination of witnesses
+    value; f on the string built from each combination of witnesses
     gives the maximum, equal to exhaustive_optimum's value bit for bit.
     Larger ones are reported unknown.
     """
@@ -482,10 +430,10 @@ def _witness_optimum(comp: CompiledInstance) -> float:
         for v in range(mk + 1):
             first.setdefault(fn(v), v << s)
         witnesses.append(tuple(first.values()))
-    fv = comp.fv
+    f_of = comp.f
     best = None
     for combo in product(*witnesses):
-        f = fv(sum(combo))[0]
+        f = f_of(sum(combo))
         if best is None or f > best:
             best = f
     return float(best)
@@ -601,8 +549,6 @@ def spec_to_dict(spec: InstanceSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> InstanceSpec:
-    from .blocks import Family
-
     blocks = tuple(
         BlockFunction(Family(b["family"]), k=b.get("k"), nu=b.get("nu"))
         for b in d["blocks"]

@@ -109,14 +109,15 @@ class _Recorder:
     """Per-run bookkeeping: evaluates and counts every solution through
     breed(), tracks the incumbent, the trajectory and the hitting index."""
 
-    __slots__ = ("n", "fv", "evals", "budget", "goal", "best_f", "best_v",
-                 "traj", "hit_index", "last_improve")
+    __slots__ = ("n", "f", "values_of", "evals", "budget", "goal", "best_f",
+                 "best_v", "traj", "hit_index", "last_improve")
 
     def __init__(self, comp, budget: int, target: float | None):
         if budget < 1:
             raise ValueError("budget must be >= 1")
         self.n = comp.n
-        self.fv = comp.fv
+        self.f = comp.f
+        self.values_of = comp.values_of
         self.evals = 0
         self.budget = budget
         self.goal = math.inf if target is None else target  # None: never hit
@@ -132,7 +133,7 @@ class _Recorder:
         count each. Returns the best f among best and the offspring, and
         the (y, i) pairs that reach it in draw order; winners seeds the
         pairs that already hold best (e.g. the parent as (x, -1))."""
-        fv = self.fv
+        fitness = self.f
         evals = self.evals
         top = self.best_f
         goal = self.goal
@@ -143,12 +144,12 @@ class _Recorder:
         left = self.budget - evals
         for i in range(k if k < left else left):
             y = make(i)
-            f, V = fv(y)
+            f = fitness(y)
             evals += 1
             if f > top:
                 top = f
                 self.best_v = y
-                self.traj.append((evals, float(f), V))
+                self.traj.append((evals, float(f), self.values_of(y)))
                 self.last_improve = evals
             if f >= goal and self.hit_index is None:
                 self.hit_index = evals

@@ -506,6 +506,32 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         expect(["table2", "--n", "8", "--runs", "1", "--budget", "10",
                 "-o", grid] + argv, 2, message)
     assert not (tmp_path / "grid").exists()
+    # inline instances: every spec number is type-checked before use
+    gcp = {"kind": "GCP", "n": 8, "m": 2,
+           "blocks": [{"family": "onemax"}, {"family": "jump", "k": 1}],
+           "weights": [1, 1], "constants": [0, 0],
+           "dependencies": [[0, 1], [0, 0]], "thresholds": [1, 1],
+           "gate_dirs": ["ge", "ge"]}
+    for patch, message in (
+            ({"weights": ["1", 1]}, "weights must be finite numbers, got '1'"),
+            ({"weights": [True, 1]}, "weights must be finite numbers, got True"),
+            ({"constants": [0, None]}, "constants must be finite numbers"),
+            ({"thresholds": [1, "2"]}, "thresholds must be finite numbers"),
+            ({"dependencies": [[0, "1"], [0, 0]]},
+             "dependencies must be finite numbers"),
+            ({"n": 8.0}, "n and m must be integers"),
+            ({"blocks": [{"family": "onemax"}, {"family": "jump", "k": 1.5}]},
+             "jump needs an integer k >= 1, got 1.5"),
+            ({"blocks": [{"family": "onemax"}, {"family": "jump", "k": True}]},
+             "jump needs an integer k >= 1, got True"),
+            ({"blocks": [{"family": "onemax"},
+                         {"family": "epistasis", "nu": "2"}]},
+             "epistasis needs an integer nu >= 2, got '2'")):
+        cfg = write_config(tmp_path, "inline.json", problem={**gcp, **patch},
+                           runs=1, budget=10)
+        expect(["run", "-c", str(cfg), "-o", str(tmp_path / "inline")], 2,
+               message)
+    assert not (tmp_path / "inline").exists()
     monkeypatch.setenv("BLOCKBENCH_THREADS", "zounds")
     expect(["run", "-c", str(so), "--workers", "2"], 2,
            "BLOCKBENCH_THREADS must be a positive integer")

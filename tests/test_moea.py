@@ -184,22 +184,40 @@ def test_hv_contributions_match_leave_one_out():
 
 def test_selection_keeps_whole_fronts():
     pairs = [(1.0, 1.0), (3.0, 0.0), (0.0, 3.0), (2.0, 2.0)]
-    keep = environmental_selection(pairs, 3, RandomSource(1))
-    assert sorted(keep) == [1, 2, 3]
+    kept = environmental_selection(pairs, 3, RandomSource(1))
+    assert kept == [[1, 2, 3]]
 
 
 def test_selection_cuts_by_crowding():
     pairs = [(0.0, 4.0), (2.0, 2.0), (4.0, 0.0), (1.0, 1.0)]
-    keep = environmental_selection(pairs, 2, RandomSource(1))
-    assert sorted(keep) == [0, 2]  # boundary points beat the middle
+    kept = environmental_selection(pairs, 2, RandomSource(1))
+    assert [sorted(fr) for fr in kept] == [[0, 2]]  # boundary points beat the middle
 
 
 def test_selection_cuts_by_hv_contribution():
     pairs = [(4.0, 1.0), (3.0, 3.0), (1.0, 4.0)]
-    keep = environmental_selection(pairs, 1, RandomSource(1), metric="hv")
-    assert keep == [1]
-    keep2 = environmental_selection(pairs, 2, RandomSource(1), metric="hv")
+    assert environmental_selection(pairs, 1, RandomSource(1), metric="hv") == [[1]]
+    [keep2] = environmental_selection(pairs, 2, RandomSource(1), metric="hv")
     assert 1 in keep2 and len(keep2) == 2
+
+
+def test_selection_fronts_equal_fronts_of_survivors():
+    # the generational loop reuses the returned fronts instead of sorting
+    # the survivors again: renumbered in order, they must be that sort
+    draw = random.Random(77)
+    for _ in range(500):
+        k = draw.randint(2, 40)
+        pairs = [(draw.randint(0, 6), draw.randint(0, 6)) for _ in range(k)]
+        for metric in ("crowding", "hv"):
+            kept = environmental_selection(pairs, draw.randint(1, k), RandomSource(3),
+                                           metric=metric)
+            keep = [i for fr in kept for i in fr]
+            assert sorted(keep) == sorted(set(keep))
+            start, renumbered = 0, []
+            for fr in kept:
+                renumbered.append(list(range(start, start + len(fr))))
+                start += len(fr)
+            assert non_dominated_sort([pairs[i] for i in keep]) == renumbered
 
 
 def test_selection_unknown_metric():

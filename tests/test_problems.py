@@ -8,9 +8,10 @@ import pytest
 from blockbench.bitstring import BitString
 from blockbench.blocks import epistasis, jump, leadingones, onemax
 from blockbench.landscape import exhaustive_optimum
-from blockbench.problems import (GateDir, InstanceSpec, Kind, ancestors,
-                                 backward_path, biobjective_ids,
-                                 compile_instance, evaluate, evaluate_bi,
+from blockbench.problems import (BiObjectiveInstance, GateDir, InstanceSpec,
+                                 Kind, ancestors, backward_path,
+                                 biobjective_ids, CompiledInstance,
+                                 compile_bi, compile_instance, evaluate, evaluate_bi,
                                  forward_path, known_optimum, make_biobjective,
                                  make_dbp, make_gcp, make_suite_instance,
                                  spec_from_dict, spec_from_json, spec_to_dict,
@@ -388,3 +389,187 @@ def test_known_optimum_equals_exhaustive_scan():
         got = known_optimum(spec)
         want = exhaustive_optimum(spec)[0]
         assert repr(got) == repr(want), (i, spec)
+
+
+# -- generated evaluators ------------------------------------------------------
+
+
+def _closure_evaluators(spec):
+    """The hand-written closures the generated evaluators replaced, kept
+    verbatim as the oracle: (fv, f_from_values, gates_from_values)."""
+    comp = CompiledInstance(spec)
+    m, parts = spec.m, comp.parts
+    weights, consts = spec.weights, spec.constants
+    if spec.kind is Kind.DBP:
+        base = sum(spec.constants)
+        pairs = tuple((i, j, spec.dependencies[i][j]) for i in range(m)
+                      for j in range(i) if spec.dependencies[i][j] != 0)
+
+        def f_from_values(V):
+            f = base
+            for w, v in zip(weights, V):
+                f += w * v
+            for i, j, e in pairs:
+                f += e * V[i] * V[j]
+            return f
+
+        def gates_from_values(V):
+            return (True,) * m
+
+        plain = not pairs and all(w == 1 for w in weights) and base == 0
+        if m == 1 and plain:
+            def fv(v, _fn=parts[0][2]):
+                val = _fn(v)
+                return float(val), (val,)
+        elif plain:
+            def fv(v):
+                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
+                return float(sum(V)), V
+        else:
+            def fv(v):
+                V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
+                return f_from_values(V), V
+        return fv, f_from_values, gates_from_values
+    anc = [ancestors(spec.dependencies, i) for i in range(m)]
+    anc_lists = tuple(tuple(sorted(a)) for a in anc)
+    tests = tuple(
+        (lambda v, b=b: v >= b) if d is GateDir.GE else (lambda v, b=b: v <= b)
+        for b, d in zip(comp.eff_thresholds, spec.gate_dirs))
+
+    def gates_from_values(V):
+        own = [t(v) for t, v in zip(tests, V)]
+        return tuple(all(own[j] for j in a) for a in anc_lists)
+
+    def f_from_values(V):
+        f = 0.0
+        own = [t(v) for t, v in zip(tests, V)]
+        for i in range(m):
+            if all(own[j] for j in anc_lists[i]):
+                f += consts[i] + weights[i] * V[i]
+        return f
+
+    forward = all(anc[i] == frozenset(range(i)) for i in range(m))
+    if forward or all(anc[i] == frozenset(range(i + 1, m)) for i in range(m)):
+        order = range(m) if forward else range(m - 1, -1, -1)
+        head = order[0]
+        chain = tuple((tests[g], g, b) for g, b in zip(order, order[1:]))
+
+        def fv(v):
+            V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
+            f = consts[head] + weights[head] * V[head]
+            for test, g, b in chain:
+                if not test(V[g]):
+                    break
+                f += consts[b] + weights[b] * V[b]
+            return f, V
+    else:
+        def fv(v):
+            V = tuple(fn((v >> s) & mk) for s, mk, fn in parts)
+            return f_from_values(V), V
+    return fv, f_from_values, gates_from_values
+
+
+# int and float coefficients, signed zeros included, so that every
+# exactness shortcut of the generator meets its boundary
+COEF = (-2, -1, -0.5, -0.1, -0.0, 0, 0.0, 0.1, 0.3, 0.5, 1, 1.0, 1.5, 2)
+
+
+def _random_spec(rnd, kind, m, ln=None, blocks=None):
+    """Any instance: plain or weighted, every block family, pair terms,
+    gate chains both ways, random DAGs and "le" gates. Blocks of ln
+    bits, or the given blocks."""
+    ln = ln or rnd.randint(2, 5)
+    fams = [onemax, leadingones, lambda: jump(rnd.randint(1, ln - 1)),
+            lambda: epistasis(rnd.choice((2, 3, 4)))]
+    blocks = blocks or [rnd.choice(fams)() for _ in range(m)]
+    if rnd.random() < 0.2:
+        weights, constants = [rnd.choice((1, 1.0))] * m, [0] * m
+    else:
+        weights = [rnd.choice(COEF) for _ in range(m)]
+        constants = [rnd.choice(COEF) for _ in range(m)]
+    if kind is Kind.DBP:
+        pair = rnd.random() < 0.5
+        deps = [[rnd.choice(COEF) if pair and j < i else 0 for j in range(m)]
+                for i in range(m)]
+        return make_dbp(m * ln, blocks, weights, constants, deps)
+    shape = rnd.randrange(3)
+    if shape < 2:
+        deps = (forward_path, backward_path)[shape](m)
+    else:
+        order = rnd.sample(range(m), m)
+        deps = [[0] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(a + 1, m):
+                if rnd.random() < 0.5:
+                    deps[order[a]][order[b]] = rnd.choice((1, 0.5, -1))
+    dirs = [rnd.choice((GateDir.GE, GateDir.LE)) for _ in range(m)]
+    thresholds = [rnd.choice((-1, 0, 0.5, 1, 2, ln, ln + 2.5, 9))
+                  for _ in range(m)]
+    return make_gcp(m * ln, blocks, deps, thresholds, weights, constants, dirs)
+
+
+def _same(got, want):
+    assert repr(got) == repr(want)
+    assert type(got) is type(want)
+
+
+def _check_against_closures(spec, rnd, samples=40):
+    # not compile_instance: its cache holds one evaluator for specs that
+    # compare equal, such as weights 1 and 1.0
+    comp = CompiledInstance(spec)
+    fv, f_from_values, gates_from_values = _closure_evaluators(spec)
+    for _ in range(samples):
+        v = rnd.getrandbits(spec.n)
+        want_f, V = fv(v)
+        _same(comp.fv(v), (want_f, V))
+        _same(comp.f(v), want_f)
+        _same(comp.f_from_values(V), f_from_values(V))
+        assert comp.gates_from_values(V) == gates_from_values(V)
+
+
+def test_generated_evaluators_equal_closures():
+    rnd = random.Random(909)
+    for i in range(400):
+        spec = _random_spec(rnd, (Kind.DBP, Kind.GCP)[i % 2], 1 + i % 8)
+        _check_against_closures(spec, rnd)
+
+
+def test_generated_evaluators_split_long_sums():
+    # more than 64 terms per sum: weights and pair terms of many blocks,
+    # gate chains of many blocks, and epistasis blocks of many tables
+    rnd = random.Random(5)
+    m = 130
+    coef = [rnd.choice(COEF) for _ in range(3 * m)]
+    pairs = [[coef[i] if j == i - 1 else 0 for j in range(m)] for i in range(m)]
+    blocks = [rnd.choice((onemax(), leadingones(), jump(1))) for _ in range(m)]
+    for spec in (make_dbp(2 * m, blocks, coef[:m], coef[m:2 * m], pairs),
+                 make_gcp(2 * m, blocks, forward_path(m), [1] * m, coef[:m]),
+                 make_gcp(2 * m, blocks, backward_path(m), [1] * m,
+                          coef[m:2 * m], gate_dirs=[GateDir.LE] * m),
+                 make_dbp(800, (epistasis(2),)), make_dbp(802, (epistasis(3),))):
+        _check_against_closures(spec, rnd, samples=10)
+
+
+def test_fused_evaluator_equals_both_objectives():
+    rnd = random.Random(911)
+    insts = [make_biobjective(pid, n, m) for pid in biobjective_ids()
+             for n, m in ((8, 1), (12, 3), (16, 4), (24, 8))]
+    for i in range(160):
+        first = _random_spec(rnd, (Kind.DBP, Kind.GCP)[i % 2], 1 + i % 8)
+        kind = rnd.choice((Kind.DBP, Kind.GCP))
+        ln = first.n // first.m
+        if i % 3 == 0:  # the same blocks under other aggregation
+            second = _random_spec(rnd, kind, first.m, ln, first.blocks)
+        else:  # other blocks, perhaps another block count
+            m = rnd.choice([d for d in range(1, 9)
+                            if first.n % d == 0 and first.n // d >= 2])
+            second = _random_spec(rnd, kind, m, first.n // m)
+        insts.append(BiObjectiveInstance(first, second))
+    for inst in insts:
+        fused = compile_bi(inst)
+        fv1 = compile_instance(inst.first).fv
+        fv2 = compile_instance(inst.second).fv
+        for _ in range(40):
+            v = rnd.getrandbits(inst.n)
+            (f1, V), (f2, _) = fv1(v), fv2(v)
+            _same(fused(v), (f1, f2, V))
