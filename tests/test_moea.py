@@ -191,12 +191,14 @@ def test_selection_keeps_whole_fronts():
 def test_selection_cuts_by_crowding():
     pairs = [(0.0, 4.0), (2.0, 2.0), (4.0, 0.0), (1.0, 1.0)]
     kept = environmental_selection(pairs, 2, RandomSource(1))
-    assert [sorted(fr) for fr in kept] == [[0, 2]]  # boundary points beat the middle
+    # boundary points beat the middle
+    assert [sorted(fr) for fr in kept] == [[0, 2]]
 
 
 def test_selection_cuts_by_hv_contribution():
     pairs = [(4.0, 1.0), (3.0, 3.0), (1.0, 4.0)]
-    assert environmental_selection(pairs, 1, RandomSource(1), metric="hv") == [[1]]
+    kept = environmental_selection(pairs, 1, RandomSource(1), metric="hv")
+    assert kept == [[1]]
     [keep2] = environmental_selection(pairs, 2, RandomSource(1), metric="hv")
     assert 1 in keep2 and len(keep2) == 2
 
@@ -209,8 +211,8 @@ def test_selection_fronts_equal_fronts_of_survivors():
         k = draw.randint(2, 40)
         pairs = [(draw.randint(0, 6), draw.randint(0, 6)) for _ in range(k)]
         for metric in ("crowding", "hv"):
-            kept = environmental_selection(pairs, draw.randint(1, k), RandomSource(3),
-                                           metric=metric)
+            kept = environmental_selection(pairs, draw.randint(1, k),
+                                           RandomSource(3), metric=metric)
             keep = [i for fr in kept for i in fr]
             assert sorted(keep) == sorted(set(keep))
             start, renumbered = 0, []
