@@ -15,7 +15,7 @@ from .bitstring import BitString
 from .rng import RandomSource
 from .blocks import (Family, BlockFunction, onemax, leadingones, jump,
                      epistasis, epistasis_transform, eval_block, block_max,
-                     block_optimum, compile_block)
+                     block_optimum, compile_block, block_values)
 from .problems import (Kind, GateDir, InstanceSpec, Evaluation,
                        BiObjectiveInstance, make_dbp, make_gcp, validate_spec,
                        ancestors, forward_path, backward_path, zero_matrix,
@@ -44,7 +44,7 @@ __all__ = [
     "BitString", "RandomSource",
     "Family", "BlockFunction", "onemax", "leadingones", "jump", "epistasis",
     "epistasis_transform", "eval_block", "block_max", "block_optimum",
-    "compile_block",
+    "compile_block", "block_values",
     "Kind", "GateDir", "InstanceSpec", "Evaluation", "BiObjectiveInstance",
     "make_dbp", "make_gcp", "validate_spec", "ancestors", "forward_path",
     "backward_path", "zero_matrix", "compile_instance", "compile_bi",

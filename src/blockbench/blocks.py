@@ -14,10 +14,11 @@ Four families operate on a single block of bits:
   destroys the unconditional monotonicity of onemax. Leftover positions
   beyond the last full group pass through unchanged.
 
-``eval_block`` is the readable reference path. ``compile_block`` builds
-a closure over precomputed lookup tables that maps the raw backing
-integer of a block straight to its value; the two are interchangeable
-and are cross-checked exhaustively in the tests.
+``eval_block`` is the readable reference path; ``compile_block`` maps
+the raw backing integer of a block to its value with code generated
+from the template that inlines blocks into instance evaluators (see
+codegen). The two are cross-checked exhaustively in the tests.
+``block_values`` is the witness table the exact oracles read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .bitstring import BitString
 
@@ -41,6 +43,7 @@ __all__ = [
     "block_max",
     "block_optimum",
     "compile_block",
+    "block_values",
     "epistasis_segments",
 ]
 
@@ -214,29 +217,24 @@ def _check_length(bf: BlockFunction, length: int) -> None:
 
 @lru_cache(maxsize=1024)
 def compile_block(bf: BlockFunction, length: int) -> Callable[[int], int]:
-    """Closure mapping the raw block integer to its block value.
-
-    The input must already be masked to the block's bits. Epistasis uses
-    chunked lookup tables (up to 12 bits of input per table) so a block
-    evaluation is a handful of shifts and adds.
-    """
+    """Function mapping the raw block integer, already masked to the
+    block's bits, to its block value: the lines codegen inlines for the
+    block into every instance evaluator, as one function."""
     _check_length(bf, length)
-    if bf.family is Family.ONEMAX:
-        return int.bit_count
-    if bf.family is Family.LEADINGONES:
-        def _lo(v: int) -> int:
-            return (v ^ (v + 1)).bit_length() - 1
-        return _lo
-    if bf.family is Family.JUMP:
-        k = bf.k
-        plateau = length - k
-        def _jump(v: int) -> int:
-            c = v.bit_count()
-            if c <= plateau or c == length:
-                return c + k
-            return length - c
-        return _jump
-    return _compile_epistasis(bf.nu, length)
+    from .codegen import block_evaluator  # codegen imports this module
+    return block_evaluator(bf, length)
+
+
+@lru_cache(maxsize=256)
+def block_values(bf: BlockFunction, length: int) -> Mapping[int, int]:
+    """Witness table, read-only: every value bf attains on length-bit
+    strings, mapped to the smallest substring attaining it, in ascending
+    order of those substrings. One pass over all 2^length substrings."""
+    fn = compile_block(bf, length)
+    first: dict[int, int] = {}
+    for v in range(1 << length):
+        first.setdefault(fn(v), v)
+    return MappingProxyType(first)
 
 
 @lru_cache(maxsize=256)
@@ -265,19 +263,3 @@ def epistasis_segments(nu: int, length: int):
     tail_shift = full_groups * nu if length % nu else None
     return tail_shift, tuple(segments)
 
-
-def _compile_epistasis(nu: int, length: int) -> Callable[[int], int]:
-    tail_shift, segments = epistasis_segments(nu, length)
-    if tail_shift is None:
-        def _epi(v: int) -> int:
-            s = 0
-            for sh, mk, tb in segments:
-                s += tb[(v >> sh) & mk]
-            return s
-    else:
-        def _epi(v: int) -> int:
-            s = (v >> tail_shift).bit_count()
-            for sh, mk, tb in segments:
-                s += tb[(v >> sh) & mk]
-            return s
-    return _epi

@@ -1,12 +1,12 @@
 """Straight-line evaluators generated from one source template.
 
-A compiled instance's fv, f, f_from_values and gates_from_values, and a
-bi-objective pair's fused evaluator, are emitted as Python source and
-exec'd, the way collections.namedtuple and dataclasses build their
-methods. The source has no loops: constant shifts and masks per block,
-onemax, leadingones, jump and the epistasis lookup tables inlined, the
-weights, constants and pair terms written out term by term, and the
-gate tests spelled out per block.
+A block's evaluator, a compiled instance's fv, f, f_from_values and
+gates_from_values, and a bi-objective pair's fused evaluator are
+emitted as Python source and exec'd, the way collections.namedtuple
+and dataclasses build their methods. The source has no loops: constant
+shifts and masks per block, onemax, leadingones, jump and the epistasis
+lookup tables inlined, the weights, constants and pair terms written
+out term by term, and the gate tests spelled out per block.
 
 Binding rule: spec numbers (weights, constants, thresholds, pair
 terms, jump gaps) and epistasis lookup tables reach the source only as names
@@ -39,9 +39,16 @@ from __future__ import annotations
 
 from .blocks import Family, epistasis_segments
 
-__all__ = ["instance_evaluators", "pair_evaluator"]
+__all__ = ["block_evaluator", "instance_evaluators", "pair_evaluator"]
 
 CHUNK = 64  # terms per statement, far below the compiler's recursion limit
+
+
+def block_evaluator(bf, length: int):
+    """v -> bf's value of the length-bit block v, 0 <= v < 2**length."""
+    src = _Source()
+    return src.build({"block": ("v", src.block(bf, length, "v", "y")
+                                + ["return y"])})[0]
 
 
 def instance_evaluators(comp) -> tuple:
@@ -117,8 +124,13 @@ class _Source:
     def extract(self, comp, i: int, var: str) -> list[str]:
         """Lines setting var<i> to block i's value of v."""
         s, mk, _ = comp.parts[i]
-        bf, out, ln = comp.spec.blocks[i], f"{var}{i}", comp.spec.block_length
         x = _field("v", s, mk, i == comp.m - 1)  # the top block needs no mask
+        return self.block(comp.spec.blocks[i], comp.spec.block_length, x,
+                          f"{var}{i}")
+
+    def block(self, bf, ln: int, x: str, out: str) -> list[str]:
+        """Lines setting out to bf's value of the ln-bit block whose
+        source is x (x already shifted and masked)."""
         if bf.family is Family.ONEMAX:
             return [f"{out} = {x}.bit_count()"]
         if bf.family is Family.LEADINGONES:

@@ -35,8 +35,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import svgplot
-from .landscape import (attainable_by_block_values, attainable_by_distance,
-                        attainable_by_ones_count, block_profile)
+from .blocks import block_values
+from .landscape import (_refuse_long_blocks, attainable_by_block_values,
+                        attainable_by_distance, attainable_by_ones_count,
+                        block_profile)
 from .moea import MULTI_RUNNERS
 from .problems import (BiObjectiveInstance, InstanceSpec, biobjective_ids,
                        known_optimum, make_biobjective, make_suite_instance,
@@ -77,6 +79,7 @@ TABLE2_ROWS = (
 TABLE2_COLUMNS = ("oll_ga", "ea", "two_rate", "var_ea", "fga")
 
 DEFAULT_BUDGET = 100_000
+LANDSCAPE_WORK_CAP = 5_000_000  # distance-axis combinations a landscape may take
 
 
 class ConfigError(ValueError):
@@ -581,11 +584,10 @@ def aggregate_runs(log_dir) -> dict:
     return out
 
 
-def _fes_worker(args):
+def _hit_worker(args):
     spec, so, budget, target, seed, seq = args
     rng = RandomSource(seed).derive(seq)
-    res = run_single(so, spec, budget, rng, target=target)
-    return res.hit_index if res.hit_index is not None else budget
+    return run_single(so, spec, budget, rng, target=target).hit_index
 
 
 def cmd_table2(n: int = 40, m: int = 4, runs: int = 50, seed: int = 1,
@@ -612,10 +614,11 @@ def cmd_table2(n: int = 40, m: int = 4, runs: int = 50, seed: int = 1,
             tasks = [(spec, so, budget, target, seed,
                       (ri * len(TABLE2_COLUMNS) + ci) * runs + k)
                      for k in range(runs)]
-            fes = _map_tasks(_fes_worker, tasks, workers)
+            hits = _map_tasks(_hit_worker, tasks, workers)
             cells[label, algo] = {
-                "mean_fes": statistics.fmean(fes),
-                "success_count": sum(f < budget for f in fes),
+                "mean_fes": statistics.fmean(
+                    budget if h is None else h for h in hits),
+                "success_count": sum(h is not None for h in hits),
             }
     table_rows = []
     for label, _, _ in TABLE2_ROWS:
@@ -644,18 +647,8 @@ def cmd_table2(n: int = 40, m: int = 4, runs: int = 50, seed: int = 1,
     return 0
 
 
-def _block_value_sets(spec: InstanceSpec):
-    length = spec.block_length
-    sets = []
-    for bf in spec.blocks:
-        prof = block_profile(bf, length, "ones")
-        sets.append(sorted(set().union(*prof.values())))
-    return sets
-
-
 def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
-                  fix: int | None = None, svg: str | None = None,
-                  work_cap: int = 5_000_000) -> int:
+                  fix: int | None = None, svg: str | None = None) -> int:
     """Exact attainable-value export along one axis: 'ones' (objective
     values per ones-count), 'distance' (min/max per per-block distance
     vector), or 'blocks' (min/max with one block pair pinned)."""
@@ -686,10 +679,10 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
             for p in profs:
                 per_vec *= max(len(s) for s in p.values())
             combos = (length + 1) ** m
-            if combos * per_vec > work_cap:
+            if combos * per_vec > LANDSCAPE_WORK_CAP:
                 print(f"landscape: distance axis needs about "
                       f"{combos * per_vec} combinations, over the cap of "
-                      f"{work_cap}; reduce n or m", file=sys.stderr)
+                      f"{LANDSCAPE_WORK_CAP}; reduce n or m", file=sys.stderr)
                 return 2
             rows = []
             for d in itertools.product(range(length + 1), repeat=m):
@@ -711,7 +704,8 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                 print(f"landscape: blocks axis needs --fix in 1..{m}",
                       file=sys.stderr)
                 return 2
-            sets = _block_value_sets(spec)
+            _refuse_long_blocks(length)
+            sets = [sorted(block_values(bf, length)) for bf in spec.blocks]
             fi = fix - 1
             rows = []
             for j in range(m):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .bitstring import BitString
-from .blocks import BlockFunction, block_optimum, compile_block
+from .blocks import BlockFunction, block_optimum, block_values, compile_block
 from .problems import (BiObjectiveInstance, InstanceSpec, compile_bi,
                        compile_instance)
 
@@ -61,6 +61,11 @@ def exhaustive_optimum(spec: InstanceSpec) -> tuple[float, BitString]:
     return float(best_f), BitString(n, best_v)
 
 
+def _refuse_long_blocks(length: int) -> None:
+    if length > PROFILE_LIMIT:
+        raise ValueError(f"refusing block enumeration beyond length {PROFILE_LIMIT}")
+
+
 @lru_cache(maxsize=4096)
 def block_profile(bf: BlockFunction, length: int, key: str = "distance") -> dict[int, frozenset[int]]:
     """Exact attainable block-value sets, grouped by the chosen axis.
@@ -69,8 +74,7 @@ def block_profile(bf: BlockFunction, length: int, key: str = "distance") -> dict
     key = "ones": ones-count of the block substring.
     Keys always cover 0..length and every set is non-empty.
     """
-    if length > PROFILE_LIMIT:
-        raise ValueError(f"refusing block enumeration beyond length {PROFILE_LIMIT}")
+    _refuse_long_blocks(length)
     if key not in ("distance", "ones"):
         raise ValueError(f"unknown profile key {key!r}")
     fn = compile_block(bf, length)
@@ -129,19 +133,18 @@ def attainable_by_distance(spec: InstanceSpec, distances,
 def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int],
                                memo: dict | None = None) -> tuple[float, float]:
     """Extrema of f with some block values pinned; free blocks range
-    over their full attainable sets. memo as in attainable_by_distance."""
+    over their full attainable sets (blocks.block_values). memo as in
+    attainable_by_distance."""
     comp = compile_instance(spec)
     ln = spec.block_length
-    full = [
-        frozenset().union(*block_profile(bf, ln, "ones").values())
-        for bf in spec.blocks
-    ]
+    _refuse_long_blocks(ln)
+    full = [block_values(bf, ln) for bf in spec.blocks]
     sets = []
     for i in range(spec.m):
         if i in fixed:
             if fixed[i] not in full[i]:
                 raise ValueError(f"value {fixed[i]} not attainable for block {i}")
-            sets.append(frozenset((fixed[i],)))
+            sets.append((fixed[i],))
         else:
             sets.append(full[i])
     unknown = set(fixed) - set(range(spec.m))

@@ -182,18 +182,16 @@ def environmental_selection(pairs, pop_size: int, rng: RandomSource,
 class ParetoArchive:
     """Mutually non-dominated store, one genotype per objective pair.
 
-    hv_trace records (evaluation index, hypervolume) at every accepted
-    insertion; it is monotone non-decreasing. evaluations_used and
-    progress are attached by the runners for the experiment harness.
+    evaluations_used and progress are attached by the runners for the
+    experiment harness.
     """
 
-    __slots__ = ("n", "reference", "hv_trace", "_xs", "_pairs", "_hv",
+    __slots__ = ("n", "reference", "_xs", "_pairs", "_hv",
                  "evaluations_used", "progress")
 
     def __init__(self, n: int, reference: Pair = (0.0, 0.0)):
         self.n = n
         self.reference = (float(reference[0]), float(reference[1]))
-        self.hv_trace: list[tuple[int, float]] = []
         self._xs: list[int] = []
         self._pairs: list[Pair] = []
         self._hv = 0.0
@@ -218,7 +216,7 @@ class ParetoArchive:
         """Uniformly chosen member, as its raw backing integer."""
         return self._xs[rng.index_below(len(self._xs))]
 
-    def try_insert(self, x_value: int, pair: Pair, eval_index: int) -> bool:
+    def try_insert(self, x_value: int, pair: Pair) -> bool:
         """Insert unless weakly dominated; evict what the entrant weakly
         dominates. Returns whether the archive changed."""
         p0, p1 = pair
@@ -237,7 +235,6 @@ class ParetoArchive:
         self._xs = keep_x
         self._pairs = keep_p
         self._hv = hypervolume_2d(keep_p, self.reference)
-        self.hv_trace.append((eval_index, self._hv))
         return True
 
 
@@ -266,7 +263,7 @@ class _MoRun:
         self.evals += 1
         f1, f2, V = self.fvv(v)
         pair = (f1, f2)
-        changed = self.archive.try_insert(v, pair, self.evals) if archive else False
+        changed = self.archive.try_insert(v, pair) if archive else False
         if f1 > self.y1max:
             self.y1max = f1
             changed = True

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import chain, product
 
 from .bitstring import BitString
@@ -36,6 +36,7 @@ from .blocks import (
     Family,
     _is_int,
     block_max,
+    block_values,
     compile_block,
     epistasis,
     jump,
@@ -265,23 +266,19 @@ def _is_number(x) -> bool:
 def _all_ancestors(dependencies) -> tuple[frozenset[int], ...]:
     m = len(dependencies)
     preds = [[j for j in range(m) if dependencies[j][i]] for i in range(m)]
-    anc: list[frozenset[int] | None] = [None] * m
-    state = [0] * m  # 0 new, 1 on stack, 2 done
-    def visit(i: int) -> frozenset[int]:
-        if state[i] == 1:
-            raise ValueError("dependency graph has a cycle")
-        if state[i] == 2:
-            return anc[i]
-        state[i] = 1
-        acc: set[int] = set()
-        for j in preds[i]:
-            acc.add(j)
-            acc |= visit(j)
-        anc[i] = frozenset(acc)
-        state[i] = 2
-        return anc[i]
-    for i in range(m):
-        visit(i)
+    succs = [[i for i in range(m) if dependencies[j][i]] for j in range(m)]
+    waiting = [len(ps) for ps in preds]
+    order = [i for i in range(m) if not waiting[i]]
+    for j in order:  # topological order (Kahn): order grows while walked
+        for i in succs[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                order.append(i)
+    if len(order) < m:
+        raise ValueError("dependency graph has a cycle")
+    anc = [frozenset()] * m
+    for i in order:
+        anc[i] = frozenset(preds[i]).union(*(anc[j] for j in preds[i]))
     return tuple(anc)
 
 
@@ -359,9 +356,26 @@ class CompiledInstance:
         return Evaluation(float(f), V, self.gates_from_values(V))
 
 
-@lru_cache(maxsize=None)
+_BY_REPR: dict[str, object] = {}  # evaluators, shared by equal-repr objects
+_BY_ID: dict[int, object] = {}    # an entry leaves when its object dies
+
+
+def _evaluator(obj, build):
+    """build(obj), found by obj's id on later calls. Equal-repr objects
+    share one; specs that compare equal but differ in a number's type or
+    in the sign of a zero differ in repr, so each gets its own."""
+    ev = _BY_ID.get(id(obj))
+    if ev is None:
+        key = repr(obj)
+        if key not in _BY_REPR:
+            _BY_REPR[key] = build(obj)
+        ev = _BY_ID[id(obj)] = _BY_REPR[key]
+        weakref.finalize(obj, _BY_ID.pop, id(obj))
+    return ev
+
+
 def compile_instance(spec: InstanceSpec) -> CompiledInstance:
-    return CompiledInstance(spec)
+    return _evaluator(spec, CompiledInstance)
 
 
 def evaluate(spec: InstanceSpec, x: BitString) -> Evaluation:
@@ -369,14 +383,13 @@ def evaluate(spec: InstanceSpec, x: BitString) -> Evaluation:
     return compile_instance(spec).evaluate_bits(x)
 
 
-@lru_cache(maxsize=None)
 def compile_bi(inst: BiObjectiveInstance):
     """One generated evaluator v -> (f1, f2, V) of both objectives, with
     each f equal to its objective's fv and V the first objective's block
     values. Objectives that share their blocks share one extraction;
     otherwise each extracts its own."""
-    return pair_evaluator(compile_instance(inst.first),
-                          compile_instance(inst.second))
+    return _evaluator(inst, lambda bi: pair_evaluator(
+        compile_instance(bi.first), compile_instance(bi.second)))
 
 
 def evaluate_bi(inst: BiObjectiveInstance, x: BitString) -> tuple[Evaluation, Evaluation]:
@@ -394,8 +407,8 @@ def known_optimum(spec: InstanceSpec) -> float | None:
     Small non-monotone instances (n <= 24) are certified over block-value
     vectors instead of strings: f depends on a solution only through V,
     and the blocks sit on disjoint bits, so every combination of
-    attainable block values is attainable. One pass over each block's
-    2^(n/m) substrings keeps the smallest witness of every distinct
+    attainable block values is attainable. Each block's witness table
+    (blocks.block_values) holds the smallest substring of every distinct
     value; f on the string built from each combination of witnesses
     gives the maximum, equal to exhaustive_optimum's value bit for bit.
     Larger ones are reported unknown.
@@ -424,12 +437,9 @@ def _witness_optimum(comp: CompiledInstance) -> float:
     # most significant block first, witnesses ascending: product() then
     # visits the strings in ascending integer order, as the 2^n scan
     # does, so among equal maxima (0.0 and -0.0) the same one is kept
-    witnesses = []
-    for s, mk, fn in reversed(comp.parts):
-        first: dict[int, int] = {}
-        for v in range(mk + 1):
-            first.setdefault(fn(v), v << s)
-        witnesses.append(tuple(first.values()))
+    ln = comp.spec.block_length
+    witnesses = [[w << (i * ln) for w in block_values(bf, ln).values()]
+                 for i, bf in reversed(list(enumerate(comp.spec.blocks)))]
     f_of = comp.f
     best = None
     for combo in product(*witnesses):

@@ -5,9 +5,9 @@ import pytest
 
 from blockbench.bitstring import BitString
 from blockbench.blocks import (BlockFunction, Family, block_max,
-                               block_optimum, compile_block, epistasis,
-                               epistasis_transform, eval_block, jump,
-                               leadingones, onemax)
+                               block_optimum, block_values, compile_block,
+                               epistasis, epistasis_transform, eval_block,
+                               jump, leadingones, onemax)
 
 ALL_LENGTHS = range(1, 13)
 
@@ -109,6 +109,21 @@ def test_compiled_matches_reference_exhaustive():
             for v in range(1 << length):
                 assert fn(v) == eval_block(bf, BitString(length, v)), \
                     (bf.label, length, v)
+
+
+def test_block_values_is_first_occurrence_scan():
+    for length in ALL_LENGTHS:
+        fams = [onemax(), leadingones(), epistasis(2), epistasis(3),
+                epistasis(4)] + [jump(k) for k in range(1, length)]
+        for bf in fams:
+            first = {}
+            for v in range(1 << length):
+                first.setdefault(eval_block(bf, BitString(length, v)), v)
+            table = block_values(bf, length)
+            assert list(table.items()) == list(first.items()), \
+                (bf.label, length)
+    with pytest.raises(TypeError):
+        block_values(onemax(), 3)[0] = 1  # cached, so read-only
 
 
 def test_block_max_is_attained_and_never_exceeded():

@@ -376,6 +376,18 @@ def test_table2_smoke(tmp_path, capsys):
     assert "OneMax" in capsys.readouterr().out
 
 
+def test_table2_counts_hit_on_last_evaluation(tmp_path):
+    from blockbench.harness import cmd_table2
+    out = tmp_path / "grid"
+    # with seed 1 and one run, ea reaches OneMax's optimum at n=12 on its
+    # 52nd evaluation, so a budget of 52 ends on the hit
+    assert cmd_table2(n=12, m=1, runs=1, seed=1, budget=52,
+                      out=str(out)) == 0
+    cell = json.loads((out / "table2.json").read_text())["cells"]["OneMax/ea"]
+    assert cell["mean_fes"] == 52
+    assert cell["success_count"] == 1
+
+
 def test_target_certified_once_per_command(tmp_path, monkeypatch):
     from blockbench import soea
     from blockbench.blocks import onemax

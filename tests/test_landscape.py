@@ -152,6 +152,12 @@ def test_attainable_by_block_values():
         attainable_by_block_values(spec, {7: 0})
 
 
+def test_attainable_by_block_values_refuses_long_blocks():
+    spec = make_dbp(42, (onemax(), jump(3)))
+    with pytest.raises(ValueError, match="refusing block enumeration"):
+        attainable_by_block_values(spec, {})
+
+
 def test_attainable_by_ones_count():
     spec = make_suite_instance("F1", 12, 2)
     assert attainable_by_ones_count(spec, 5) == frozenset({5.0})

@@ -233,13 +233,13 @@ def test_selection_unknown_metric():
 
 def test_archive_insert_evict():
     a = ParetoArchive(8)
-    assert a.try_insert(0b1, (2.0, 2.0), 1)
-    assert not a.try_insert(0b10, (1.0, 1.0), 2)   # dominated
-    assert not a.try_insert(0b11, (2.0, 2.0), 3)   # duplicate pair
-    assert a.try_insert(0b100, (3.0, 3.0), 4)      # evicts (2,2)
+    assert a.try_insert(0b1, (2.0, 2.0))
+    assert not a.try_insert(0b10, (1.0, 1.0))   # dominated
+    assert not a.try_insert(0b11, (2.0, 2.0))   # duplicate pair
+    assert a.try_insert(0b100, (3.0, 3.0))      # evicts (2,2)
     assert len(a) == 1
-    assert a.try_insert(0b101, (1.0, 4.0), 5)
-    assert a.try_insert(0b110, (4.0, 1.0), 6)
+    assert a.try_insert(0b101, (1.0, 4.0))
+    assert a.try_insert(0b110, (4.0, 1.0))
     assert len(a) == 3
     assert sorted(a.pairs) == [(1.0, 4.0), (3.0, 3.0), (4.0, 1.0)]
     assert a.hypervolume() == hypervolume_2d(a.pairs)
@@ -247,8 +247,8 @@ def test_archive_insert_evict():
 
 def test_archive_first_in_wins():
     a = ParetoArchive(8)
-    assert a.try_insert(5, (2.0, 3.0), 1)
-    assert not a.try_insert(9, (2.0, 3.0), 2)
+    assert a.try_insert(5, (2.0, 3.0))
+    assert not a.try_insert(9, (2.0, 3.0))
     (x, pair), = a.entries
     assert x.value == 5
     assert pair == (2.0, 3.0)
@@ -257,22 +257,19 @@ def test_archive_first_in_wins():
 def test_archive_trace_monotone():
     a = ParetoArchive(8)
     rng = RandomSource(9)
-    k = 0
+    hvs = []
     for _ in range(200):
-        k += 1
-        a.try_insert(rng.getrandbits(8),
-                     (float(rng.index_below(6)), float(rng.index_below(6))), k)
-    evs = [e for e, _ in a.hv_trace]
-    hvs = [h for _, h in a.hv_trace]
-    assert evs == sorted(evs)
+        if a.try_insert(rng.getrandbits(8), (float(rng.index_below(6)),
+                                             float(rng.index_below(6)))):
+            hvs.append(a.hypervolume())
+    assert len(hvs) > 1
     assert all(b >= a_ for a_, b in zip(hvs, hvs[1:]))
-    assert hvs[-1] == a.hypervolume()
 
 
 def test_archive_pick_value_members_only():
     a = ParetoArchive(8)
-    a.try_insert(3, (1.0, 2.0), 1)
-    a.try_insert(12, (2.0, 1.0), 2)
+    a.try_insert(3, (1.0, 2.0))
+    a.try_insert(12, (2.0, 1.0))
     rng = RandomSource(2)
     assert {a.pick_value(rng) for _ in range(50)} == {3, 12}
 
@@ -327,7 +324,6 @@ def test_moead_initial_population_not_archived():
     a = run_moead(inst, 4, 4, RandomSource(6))
     assert a.evaluations_used == 4
     assert len(a) == 0          # only offspring enter the archive
-    assert a.hv_trace == []
     assert a.progress            # objective maxima still tracked
     b = run_moead(inst, 4, 20, RandomSource(6))
     assert len(b) >= 1
@@ -369,5 +365,4 @@ def test_runners_deterministic():
             a = runner(inst, 8, 500, RandomSource(21))
             b = runner(inst, 8, 500, RandomSource(21))
         assert a.pairs == b.pairs
-        assert a.hv_trace == b.hv_trace
         assert a.progress == b.progress

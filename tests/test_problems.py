@@ -1,6 +1,7 @@
 """Problem composition: additive and gated objectives, the named
 instances, bi-objective pairs, validation, and serialization."""
 
+import pickle
 import random
 
 import pytest
@@ -151,6 +152,16 @@ def test_ancestors_path_and_diamond():
     assert ancestors(dep, 2) == frozenset({0})
     assert ancestors(dep, 1) == frozenset({0})
     assert ancestors(dep, 0) == frozenset()
+
+
+def test_long_backward_chain_validates_and_compiles():
+    m = 1500
+    spec = make_gcp(m, [onemax()] * m, backward_path(m), [1] * m)
+    assert ancestors(spec.dependencies, 0) == frozenset(range(1, m))
+    comp = compile_instance(spec)
+    assert comp.chain == tuple(range(m - 1, -1, -1))
+    assert known_optimum(spec) == 1500.0
+    assert comp.fv((1 << m) - 1)[0] == 1500
 
 
 # -- named instances --------------------------------------------------------
@@ -514,9 +525,7 @@ def _same(got, want):
 
 
 def _check_against_closures(spec, rnd, samples=40):
-    # not compile_instance: its cache holds one evaluator for specs that
-    # compare equal, such as weights 1 and 1.0
-    comp = CompiledInstance(spec)
+    comp = compile_instance(spec)
     fv, f_from_values, gates_from_values = _closure_evaluators(spec)
     for _ in range(samples):
         v = rnd.getrandbits(spec.n)
@@ -548,6 +557,33 @@ def test_generated_evaluators_split_long_sums():
                           coef[m:2 * m], gate_dirs=[GateDir.LE] * m),
                  make_dbp(800, (epistasis(2),)), make_dbp(802, (epistasis(3),))):
         _check_against_closures(spec, rnd, samples=10)
+
+
+def test_equal_specs_of_other_number_types_compile_apart():
+    # each pair compares equal and hashes alike, but differs in a
+    # number's type or in the sign of a zero, and so in fv's result
+    pairs = [(dict(weights=(2,), constants=(0,)),
+              dict(weights=(2,), constants=(0.0,)), 5),
+             (dict(weights=(-1.0,), constants=(0.0,)),
+              dict(weights=(-1.0,), constants=(-0.0,)), 0)]
+    for a_kw, b_kw, v in pairs:
+        a = make_dbp(4, (onemax(),), **a_kw)
+        b = make_dbp(4, (onemax(),), **b_kw)
+        assert a == b and hash(a) == hash(b)
+        for spec in (a, b):  # compiled in this order, a first
+            _same(compile_instance(spec).fv(v), CompiledInstance(spec).fv(v))
+        assert compile_instance(a) is compile_instance(a)
+        assert compile_instance(a) is compile_instance(
+            make_dbp(4, (onemax(),), **a_kw))
+        inst_a, inst_b = BiObjectiveInstance(a, a), BiObjectiveInstance(b, b)
+        assert inst_a == inst_b
+        _same(compile_bi(inst_a)(v)[0], CompiledInstance(a).fv(v)[0])
+        _same(compile_bi(inst_b)(v)[0], CompiledInstance(b).fv(v)[0])
+        # a compiled spec still pickles, for worker processes
+        for obj in (b, inst_b):
+            assert pickle.loads(pickle.dumps(obj)) == obj
+        _same(compile_instance(pickle.loads(pickle.dumps(b))).fv(v),
+              CompiledInstance(b).fv(v))
 
 
 def test_fused_evaluator_equals_both_objectives():
