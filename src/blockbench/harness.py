@@ -24,7 +24,6 @@ that convention is recorded in every summary file.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import multiprocessing
@@ -37,8 +36,7 @@ from pathlib import Path
 from . import svgplot
 from .blocks import block_values
 from .landscape import (_refuse_long_blocks, attainable_by_block_values,
-                        attainable_by_distance, attainable_by_ones_count,
-                        block_profile)
+                        block_profile, distance_landscape, ones_landscape)
 from .moea import MULTI_RUNNERS
 from .problems import (BiObjectiveInstance, InstanceSpec, biobjective_ids,
                        known_optimum, make_biobjective, make_suite_instance,
@@ -324,13 +322,22 @@ def _num(x) -> str:
     return f"{float(x):.10g}"
 
 
+def _cell(x):
+    return _num(x) if isinstance(x, (int, float)) else x
+
+
+# _cell by exact class for the common ones; the float format is _num's
+_CELL = {float: "{:.10g}".format, int: int.__str__, str: str.__str__,
+         bool: _num}
+
+
 def _write_csv(path, header, rows) -> None:
+    """rows may be any iterable, a generator included; it is consumed once."""
+    fmt = _CELL.get
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_num(c) if isinstance(c, (int, float)) else c
-                        for c in row])
+        w.writerows([fmt(type(c), _cell)(c) for c in row] for row in rows)
 
 
 def _step_rows(traj, cps, evals_used):
@@ -660,16 +667,16 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     length = spec.block_length
-    memo: dict = {}  # f by block-value vector, shared by this export's queries
     try:
         if axis == "ones":
-            rows = [(k, f) for k in range(n + 1)
-                    for f in sorted(attainable_by_ones_count(spec, k, memo))]
-            _write_csv(out, ["k", "f"], rows)
+            per_k = [sorted(fs) for fs in ones_landscape(spec)]
+            _write_csv(out, ["k", "f"],
+                       ((k, f) for k, fs in enumerate(per_k) for f in fs))
             if svg:
                 svgplot.scatter_chart(
                     [(spec.name or problem,
-                      [r[0] for r in rows], [r[1] for r in rows])],
+                      [k for k, fs in enumerate(per_k) for _ in fs],
+                      [f for fs in per_k for f in fs])],
                     svg, xlabel="number of one-bits", ylabel="objective value",
                     title=f"{problem} n={n} m={m}")
         elif axis == "distance":
@@ -684,10 +691,9 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                       f"{combos * per_vec} combinations, over the cap of "
                       f"{LANDSCAPE_WORK_CAP}; reduce n or m", file=sys.stderr)
                 return 2
-            rows = []
-            for d in itertools.product(range(length + 1), repeat=m):
-                lo, hi = attainable_by_distance(spec, d, memo)
-                rows.append(d + (lo, hi))
+            rows = distance_landscape(spec)
+            if svg:
+                rows = list(rows)
             _write_csv(out, [f"d{i + 1}" for i in range(m)]
                        + ["f_min", "f_max"], rows)
             if svg:
@@ -707,6 +713,7 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
             _refuse_long_blocks(length)
             sets = [sorted(block_values(bf, length)) for bf in spec.blocks]
             fi = fix - 1
+            memo: dict = {}  # f by block-value vector, shared by the queries
             rows = []
             for j in range(m):
                 if j == fi:

@@ -12,6 +12,7 @@ attainable-objective extrema without touching all 2^n strings.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -26,6 +27,8 @@ __all__ = [
     "attainable_by_distance",
     "attainable_by_block_values",
     "attainable_by_ones_count",
+    "distance_landscape",
+    "ones_landscape",
     "pareto_front_oracle",
 ]
 
@@ -89,25 +92,20 @@ def block_profile(bf: BlockFunction, length: int, key: str = "distance") -> dict
     return {d: frozenset(s) for d, s in acc.items()}
 
 
-def _f_over_products(comp, value_sets, memo) -> list[float]:
-    """f, as a float, of every vector in the product of value_sets, in
-    product order. memo maps V -> f for one instance; a caller that
-    passes the same memo to many queries aggregates each distinct V once."""
-    agg = comp.f_from_values
-    if memo is None:
-        memo = {}
-    out = []
+def _extrema(agg, value_sets, memo: dict) -> tuple[float, float]:
+    """min and max of f, as a float, over the product of value_sets, in
+    one loop. memo maps V -> f for one instance; a caller that passes
+    the same memo to many queries aggregates each distinct V once."""
+    lo, hi = math.inf, -math.inf
     for V in product(*value_sets):
         f = memo.get(V)
         if f is None:
             f = memo[V] = float(agg(V))
-        out.append(f)
-    return out
-
-
-def _extrema_over_products(comp, value_sets, memo) -> tuple[float, float]:
-    fs = _f_over_products(comp, value_sets, memo)
-    return min(fs), max(fs)
+        if f < lo:
+            lo = f
+        if f > hi:
+            hi = f
+    return lo, hi
 
 
 def attainable_by_distance(spec: InstanceSpec, distances,
@@ -115,7 +113,6 @@ def attainable_by_distance(spec: InstanceSpec, distances,
     """Extrema of f over all x whose block i sits at Hamming distance
     distances[i] from block i's optimum. memo (V -> f, for this spec
     only) lets repeated queries share aggregations."""
-    comp = compile_instance(spec)
     ln = spec.block_length
     distances = tuple(distances)
     if len(distances) != spec.m:
@@ -123,11 +120,22 @@ def attainable_by_distance(spec: InstanceSpec, distances,
     for d in distances:
         if not 0 <= d <= ln:
             raise ValueError(f"distance {d} out of range 0..{ln}")
-    sets = [
-        block_profile(bf, ln, "distance")[d]
-        for bf, d in zip(spec.blocks, distances)
-    ]
-    return _extrema_over_products(comp, sets, memo)
+    sets = [block_profile(bf, ln, "distance")[d]
+            for bf, d in zip(spec.blocks, distances)]
+    return _extrema(compile_instance(spec).f_from_values, sets,
+                    {} if memo is None else memo)
+
+
+def distance_landscape(spec: InstanceSpec):
+    """(d..., f_min, f_max) for every distance vector d, in product
+    order, as a generator: attainable_by_distance of each d, with the
+    profiles and the evaluator looked up once and one memo for all."""
+    ln = spec.block_length
+    profiles = [block_profile(bf, ln, "distance") for bf in spec.blocks]
+    agg = compile_instance(spec).f_from_values
+    memo: dict = {}
+    for d in product(range(ln + 1), repeat=spec.m):
+        yield d + _extrema(agg, [p[x] for p, x in zip(profiles, d)], memo)
 
 
 def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int],
@@ -150,37 +158,64 @@ def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int],
     unknown = set(fixed) - set(range(spec.m))
     if unknown:
         raise ValueError(f"no such blocks: {sorted(unknown)}")
-    return _extrema_over_products(comp, sets, memo)
+    return _extrema(comp.f_from_values, sets, {} if memo is None else memo)
 
 
-def _compositions(total: int, caps: tuple[int, ...]):
-    """All vectors u with 0 <= u_i <= caps[i] summing to total."""
-    if len(caps) == 1:
-        if 0 <= total <= caps[0]:
-            yield (total,)
+def ones_landscape(spec: InstanceSpec) -> list[frozenset[float]]:
+    """All objective values attainable with exactly k ones overall, for
+    k = 0..n, in one pass over the distinct block-value vectors.
+
+    Each block value carries the mask of the block ones-counts that
+    reach it; a vector V carries the sumset of its blocks' masks (bit k
+    set when some x with k ones has block values V), and each f value
+    the union of its vectors' masks. (No set has to choose between 0.0
+    and -0.0: f_from_values's first term is 0.0, an int or a sum() of
+    the constants, never -0.0, and a sum is -0.0 only if all terms are.)
+    """
+    ln = spec.block_length
+    agg = compile_instance(spec).f_from_values
+    blocks = []  # per block: (value, ones-counts reaching it) pairs
+    for bf in spec.blocks:
+        counts: dict[int, list[int]] = {}
+        for u, values in block_profile(bf, ln, "ones").items():
+            for v in values:
+                counts.setdefault(v, []).append(u)
+        blocks.append(list(counts.items()))
+    by_f: dict[float, int] = {}
+    last = blocks.pop()
+    for V, mask in _folds(blocks, (), 1):  # the last block, while aggregating
+        for v, us in last:
+            f = float(agg(V + (v,)))
+            by_f[f] = by_f.get(f, 0) | _shift_or(mask, us)
+    return [frozenset(f for f, mask in by_f.items() if mask >> k & 1)
+            for k in range(spec.n + 1)]
+
+
+def _folds(blocks, V, mask):
+    """(V + values, mask folded with their ones-counts) for every choice
+    of one (value, ones-counts) pair per block, depth first, so only one
+    path of partial vectors is held at a time."""
+    if not blocks:
+        yield V, mask
         return
-    tail_max = sum(caps[1:])
-    for u in range(max(0, total - tail_max), min(caps[0], total) + 1):
-        for rest in _compositions(total - u, caps[1:]):
-            yield (u,) + rest
+    for v, us in blocks[0]:
+        yield from _folds(blocks[1:], V + (v,), _shift_or(mask, us))
 
 
-def attainable_by_ones_count(spec: InstanceSpec, k: int,
-                             memo: dict | None = None) -> frozenset[float]:
-    """All objective values attainable with exactly k ones overall.
-    memo as in attainable_by_distance."""
+def _shift_or(mask: int, shifts) -> int:
+    """The sumset of mask's bit positions and shifts, as a mask."""
+    out = 0
+    for s in shifts:
+        out |= mask << s
+    return out
+
+
+def attainable_by_ones_count(spec: InstanceSpec, k: int) -> frozenset[float]:
+    """All objective values attainable with exactly k ones overall: entry
+    k of ones_landscape, which computes every k at once."""
     if not 0 <= k <= spec.n:
         raise ValueError(f"ones-count {k} out of range 0..{spec.n}")
-    comp = compile_instance(spec)
-    ln = spec.block_length
-    profiles = [block_profile(bf, ln, "ones") for bf in spec.blocks]
-    if memo is None:
-        memo = {}
-    out: set[float] = set()
-    for u in _compositions(k, (ln,) * spec.m):
-        out.update(_f_over_products(
-            comp, [profiles[i][u[i]] for i in range(spec.m)], memo))
-    return frozenset(out)
+    return ones_landscape(spec)[k]
 
 
 def pareto_front_oracle(inst: BiObjectiveInstance) -> list[tuple[tuple[float, float], BitString]]:

@@ -189,7 +189,8 @@ def make_gcp(n, blocks, dependencies, thresholds, weights=None, constants=None, 
         constants=tuple(constants) if constants is not None else (0,) * m,
         dependencies=tuple(tuple(r) for r in dependencies),
         thresholds=tuple(thresholds),
-        gate_dirs=tuple(gate_dirs) if gate_dirs is not None else _dirs_from_weights(weights),
+        gate_dirs=(tuple(GateDir(g) for g in gate_dirs) if gate_dirs is not None
+                   else _dirs_from_weights(weights)),
         name=name,
     )
     _raise_if_invalid(spec)
@@ -250,6 +251,10 @@ def validate_spec(spec: InstanceSpec) -> list[str]:
             errs.append("gated instances need one threshold per block")
         if spec.gate_dirs is None or len(spec.gate_dirs) != spec.m:
             errs.append("gated instances need one gate direction per block")
+        else:
+            bad = [g for g in spec.gate_dirs if not isinstance(g, GateDir)]
+            if bad:
+                errs.append(f"gate directions must be GateDir members, got {bad[0]!r}")
         try:
             _all_ancestors(spec.dependencies)
         except ValueError:

@@ -25,6 +25,7 @@ solution in a BitString only in the returned RunResult.
 from __future__ import annotations
 
 import math
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .bitstring import BitString
@@ -346,11 +347,8 @@ def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
 # -- (mu+1) GA ------------------------------------------------------------
 
 
-def max_distance_pair(xs: list[int], rng: RandomSource) -> tuple[int, int]:
-    """Indices of a maximum-Hamming-distance pair; ties broken uniformly.
-
-    Operates on raw backing integers.
-    """
+def _far_pairs(xs: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The maximum pairwise Hamming distance and its pairs, in (i, j) order."""
     best = -1
     pairs: list[tuple[int, int]] = []
     for i in range(len(xs)):
@@ -362,10 +360,46 @@ def max_distance_pair(xs: list[int], rng: RandomSource) -> tuple[int, int]:
                 pairs = [(i, j)]
             elif d == best:
                 pairs.append((i, j))
+    return best, pairs
+
+
+def max_distance_pair(xs: list[int], rng: RandomSource) -> tuple[int, int]:
+    """Indices of a maximum-Hamming-distance pair; ties broken uniformly.
+
+    Operates on raw backing integers.
+    """
+    pairs = _far_pairs(xs)[1]
     return pairs[rng.index_below(len(pairs))]
 
 
-def removal_index(fs: list[float], protected: frozenset[int] | set[int], rng: RandomSource) -> int:
+class _FarPairs:
+    """_far_pairs of a population kept current as members come and go:
+    O(mu) per insertion instead of a full O(mu^2) rescan."""
+
+    __slots__ = ("far", "ties")
+
+    def __init__(self, xs: list[int]):
+        self.far, self.ties = _far_pairs(xs)
+
+    def insert(self, xs: list[int], y: int) -> None:
+        """Account for y, about to be appended to xs."""
+        ds = [(y ^ x).bit_count() for x in xs]
+        top = max(ds)
+        if top >= self.far:
+            k = len(xs)
+            new = [(i, k) for i, d in enumerate(ds) if d == top]
+            if top > self.far:
+                self.far, self.ties = top, new
+            else:
+                self.ties = sorted(self.ties + new)
+
+    def remove(self, r: int) -> None:
+        """Account for member r leaving; later members shift down by one."""
+        self.ties = [(i - (i > r), j - (j > r)) for i, j in self.ties
+                     if i != r and j != r]
+
+
+def removal_index(fs: list[float], protected: Container[int], rng: RandomSource) -> int:
     """Uniform choice among the worst-fitness members outside protected."""
     worst = None
     cand: list[int] = []
@@ -414,17 +448,20 @@ def run_mu_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Ra
         flips = rng.binomial(n, pbit)
         return base ^ pm(n, flips) if flips else base
 
+    far = _FarPairs(xs) if cfg.diversity else None
+    protected = ()
     while not rec.done and len(xs) >= 2:
         fy, [(y, _)] = rec.breed(1, offspring)
+        if far is not None:
+            far.insert(xs, y)
+            protected = far.ties[rng.index_below(len(far.ties))]
         xs.append(y)
         fs.append(fy)
-        if cfg.diversity:
-            protected = frozenset(max_distance_pair(xs, rng))
-        else:
-            protected = frozenset()
         ridx = removal_index(fs, protected, rng)
         del xs[ridx]
         del fs[ridx]
+        if far is not None:
+            far.remove(ridx)  # the protected pair stays, so far holds
     return rec.result()
 
 

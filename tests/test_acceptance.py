@@ -14,6 +14,8 @@ pinned algorithm parameters are stated inline next to each check.
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import random
 import time
 
@@ -46,12 +48,24 @@ def fes(result) -> int:
     return result.hit_index if result.hit_index is not None else result.evaluations_used
 
 
-def mean_fes(cfg, inst, budget, seed, runs=50, offset=0):
-    total = 0
-    for i in range(runs):
-        r = run_single(cfg, inst, budget, RandomSource(seed).derive(offset + i))
-        total += fes(r)
-    return total / runs
+@pytest.fixture(scope="module")
+def pool():
+    """Worker processes, one per core, for the checks' independent runs.
+    Each run draws from its own derived stream and results come back in
+    run order, so no result depends on how the runs are split."""
+    with multiprocessing.get_context("spawn").Pool(os.cpu_count() or 1) as p:
+        yield p
+
+
+def _fes_of_run(task):
+    cfg, inst, budget, seed, index = task
+    return fes(run_single(cfg, inst, budget, RandomSource(seed).derive(index)))
+
+
+def mean_fes(pool, cfg, inst, budget, seed, runs=50, offset=0):
+    fs = pool.map(_fes_of_run, [(cfg, inst, budget, seed, offset + i)
+                                for i in range(runs)], chunksize=1)
+    return sum(fs) / runs  # integers, summed in run order
 
 
 def run_multi(algo, inst, pop_size, budget, rng):
@@ -59,6 +73,12 @@ def run_multi(algo, inst, pop_size, budget, rng):
     if algo in ("semo", "gsemo"):
         return fn(inst, budget, rng)
     return fn(inst, pop_size, budget, rng)
+
+
+def _hv_of_run(task):
+    algo, inst, pop_size, budget, seed, index = task
+    return run_multi(algo, inst, pop_size, budget,
+                     RandomSource(seed).derive(index)).hypervolume()
 
 
 # -- 1: exact identities ---------------------------------------------------------
@@ -126,7 +146,7 @@ def test_c2_oracle_coherence():
 # -- 3: mean evaluations-to-optimum magnitudes -----------------------------------
 
 
-def test_c3_magnitude_reproduction():
+def test_c3_magnitude_reproduction(pool):
     onemax40 = make_suite_instance("F1", 40, 1)
     lo40 = make_suite_instance("F2", 40, 1)
     arms = [
@@ -140,7 +160,7 @@ def test_c3_magnitude_reproduction():
     ok = True
     for ai, (variant, inst, expected) in enumerate(arms):
         cfg = SOConfig(variant=variant, lam=10)
-        mean = mean_fes(cfg, inst, 100_000, 303, offset=ai * 50)
+        mean = mean_fes(pool, cfg, inst, 100_000, 303, offset=ai * 50)
         inside = expected / 2 <= mean <= expected * 2
         ok = ok and inside
         details.append(f"{variant}/{inst.name}={mean:.0f} (ref {expected:.0f})")
@@ -152,7 +172,7 @@ def test_c3_magnitude_reproduction():
 
 
 @pytest.mark.slow
-def test_c4_ordering_reproduction():
+def test_c4_ordering_reproduction(pool):
     jump40 = make_suite_instance("F3", 40, 1)
     f5 = make_suite_instance("F5", 40, 4)
     budget = 2_000_000
@@ -164,13 +184,15 @@ def test_c4_ordering_reproduction():
         jm = {}
         for ai, variant in enumerate(("two_rate", "ea", "oll_ga")):
             cfg = SOConfig(variant=variant, lam=10)
-            jm[variant] = mean_fes(cfg, jump40, budget, seed, offset=ai * 50)
+            jm[variant] = mean_fes(pool, cfg, jump40, budget, seed,
+                                   offset=ai * 50)
         jump_wins += jm["two_rate"] < jm["ea"] and jm["two_rate"] < jm["oll_ga"]
         jump_last = jm
         fm = {}
         for ai, variant in enumerate(("ea", "fga", "two_rate", "var_ea", "oll_ga")):
             cfg = SOConfig(variant=variant, lam=10)
-            fm[variant] = mean_fes(cfg, f5, budget, seed, offset=300 + ai * 50)
+            fm[variant] = mean_fes(pool, cfg, f5, budget, seed,
+                                   offset=300 + ai * 50)
         f5_wins += min(fm, key=fm.get) == "two_rate"
         f5_last = fm
     ok = jump_wins >= 4 and f5_wins >= 4
@@ -185,7 +207,7 @@ def test_c4_ordering_reproduction():
 
 
 @pytest.mark.slow
-def test_c5_diversity_effect():
+def test_c5_diversity_effect(pool):
     # KNOWN FAILURE, kept deliberately red. The far-pair protection is
     # fitness-blind: the protected pair's Hamming distance can only
     # ratchet upward (any accepted spread re-locks at the larger
@@ -205,9 +227,9 @@ def test_c5_diversity_effect():
     budget = 3_000_000
     std = SOConfig(variant="mu_ga", mu=8, p_c=0.5, diversity=False)
     div = SOConfig(variant="mu_ga", mu=8, p_c=0.5, diversity=True)
-    std4 = mean_fes(std, inst4, budget, 505, offset=0)
-    div4 = mean_fes(div, inst4, budget, 505, offset=50)
-    std1 = mean_fes(std, inst1, budget, 505, offset=100)
+    std4 = mean_fes(pool, std, inst4, budget, 505, offset=0)
+    div4 = mean_fes(pool, div, inst4, budget, 505, offset=50)
+    std1 = mean_fes(pool, std, inst1, budget, 505, offset=100)
     ok = div4 < std4 and std4 >= 2.0 * std1
     report("C5 diversity effect", ok,
            f"mean FEs m=4: diversity {div4:.0f} vs standard {std4:.0f} "
@@ -264,7 +286,7 @@ def test_c6_multiobjective_correctness():
 
 
 @pytest.mark.slow
-def test_c7_multiobjective_ranking():
+def test_c7_multiobjective_ranking(pool):
     budget, pop, runs = 64_000, 40, 3
     shortfall = []
     primary = True
@@ -272,12 +294,12 @@ def test_c7_multiobjective_ranking():
         inst = make_biobjective(prob, 40, 4)
         wins = 0
         for rep in range(5):
-            means = {}
-            for ai, algo in enumerate(MULTI_ALGOS):
-                hvs = [run_multi(algo, inst, pop, budget,
-                                 RandomSource(707 + rep).derive(ai * runs + k)
-                                 ).hypervolume() for k in range(runs)]
-                means[algo] = sum(hvs) / runs
+            hvs = pool.map(_hv_of_run, [
+                (algo, inst, pop, budget, 707 + rep, ai * runs + k)
+                for ai, algo in enumerate(MULTI_ALGOS) for k in range(runs)],
+                chunksize=1)
+            means = {algo: sum(hvs[ai * runs:(ai + 1) * runs]) / runs
+                     for ai, algo in enumerate(MULTI_ALGOS)}
             others = min(v for a, v in means.items() if a != "moead")
             wins += means["moead"] < others
         shortfall.append(f"{prob} moead strictly lowest in {wins}/5")

@@ -24,12 +24,12 @@ from blockbench.soea import VARIANTS
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 
 
-def _run_variant(algo):
+def _run_variant(algo, **extra):
     def go(tmp):
         cfg = tmp / "cfg.json"
         cfg.write_text(json.dumps({"problem": "F5", "n": 16, "m": 4,
                                    "algo": algo, "runs": 3, "budget": 2000,
-                                   "seed": 7}), encoding="utf-8")
+                                   **extra, "seed": 7}), encoding="utf-8")
         return ["run", "-c", str(cfg), "-o", str(tmp / "out")]
     return go
 
@@ -110,6 +110,8 @@ CASES.update({"table2": _table2, "bi-BF4": _bi("BF4", 5),
               # chain of "le" gates at threshold 0 (BF2/2)
               "bi-BF1": _bi("BF1", 17), "bi-BF2": _bi("BF2", 19),
               "landscape-F10": _landscape,
+              # far-pair protection: the tie list and its uniform draw
+              "run-mu_ga-diversity": _run_variant("mu_ga", diversity=True),
               "run-ea-gcp-le": _run_inline("gcp-le", "ea", 11),
               "run-two_rate-dbp-neg": _run_inline("dbp-neg", "two_rate", 13),
               "landscape-F9-distance": _distance})

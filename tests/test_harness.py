@@ -1,6 +1,8 @@
 """Experiment harness: config parsing, checkpoint schedules, CSV and
 JSON outputs, aggregation, rerun determinism, and the CLI surface."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -18,6 +20,28 @@ def write_config(tmp_path, name="cfg.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")
     return path
+
+
+# -- CSV cells -------------------------------------------------------------------
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rows = [(True, False, 0, -7, 10**20, 1.0, -0.0, 0.1 + 0.2, 1e-12, 2.5e15),
+            ("a,b", 'say "hi"', "", "line\nbreak", 3, 1 / 3, None, "x", 7.0,
+             False)]
+    # the documented cell forms: bools as 1/0, ints in full, floats as
+    # %.10g, anything else as csv.writer writes it
+    want = io.StringIO(newline="")
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(["h1", "h,2"] + [f"c{i}" for i in range(8)])
+    w.writerow(["1", "0", "0", "-7", "100000000000000000000", "1", "-0",
+                "0.3", "1e-12", "2.5e+15"])
+    w.writerow(["a,b", 'say "hi"', "", "line\nbreak", "3", "0.3333333333",
+                None, "x", "7", "0"])
+    path = tmp_path / "t.csv"
+    harness._write_csv(path, ["h1", "h,2"] + [f"c{i}" for i in range(8)],
+                       (row for row in rows))
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 # -- checkpoint schedule -------------------------------------------------------

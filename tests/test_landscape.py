@@ -1,16 +1,23 @@
 """Exhaustive scans and compositional attainability oracles."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from blockbench.bitstring import BitString
-from blockbench.blocks import epistasis, jump, leadingones, onemax
+from blockbench.blocks import (block_optimum, epistasis, jump, leadingones,
+                               onemax)
 from blockbench.landscape import (attainable_by_block_values,
                                   attainable_by_distance,
                                   attainable_by_ones_count, block_profile,
-                                  exhaustive_optimum, pareto_front_oracle)
-from blockbench.problems import (BiObjectiveInstance, compile_instance,
-                                 evaluate_bi, known_optimum, make_biobjective,
-                                 make_dbp, make_suite_instance)
+                                  distance_landscape, exhaustive_optimum,
+                                  ones_landscape, pareto_front_oracle)
+from blockbench.problems import (BiObjectiveInstance, GateDir,
+                                 compile_instance, evaluate_bi, known_optimum,
+                                 make_biobjective, make_dbp, make_gcp,
+                                 make_suite_instance)
 
 
 # -- full scans ---------------------------------------------------------------
@@ -184,6 +191,78 @@ def test_ones_count_union_covers_image():
     for k in range(9):
         union |= set(attainable_by_ones_count(spec, k))
     assert union == image
+
+
+# -- the one-pass exports against brute force over all 2^n strings -------------
+
+# int and float numbers, negative float weights and pair terms, and -0.0
+NUMBERS = (0, 1, 2, -1, 0.0, -0.0, 0.5, -1.0, -1.5, 2.0)
+
+
+def _random_spec(rnd):
+    n, m = rnd.choice(((6, 1), (6, 2), (8, 2), (8, 4), (9, 3), (12, 3),
+                       (12, 4)))
+    ln = n // m
+    blocks = [rnd.choice((onemax(), leadingones(), jump(rnd.randint(1, ln - 1)),
+                          epistasis(rnd.randint(2, ln))))
+              if ln > 1 else onemax() for _ in range(m)]
+    weights = [rnd.choice(NUMBERS) for _ in range(m)]
+    constants = [rnd.choice(NUMBERS) for _ in range(m)]
+    if rnd.random() < 0.5:
+        pairs = [[rnd.choice(NUMBERS) if j < i else 0 for j in range(m)]
+                 for i in range(m)]
+        return make_dbp(n, blocks, weights, constants, pairs)
+    deps = [[rnd.choice((0, 1, 0.5)) if j > i else 0 for j in range(m)]
+            for i in range(m)]
+    thresholds = [rnd.choice((0, 1, 2, 1.5, ln + 1)) for _ in range(m)]
+    dirs = [rnd.choice((GateDir.GE, GateDir.LE)) for _ in range(m)]
+    return make_gcp(n, blocks, deps, thresholds, weights, constants, dirs)
+
+
+def _by_string(spec):
+    """(ones-count, block distances, f) of every x, f as the oracles take it."""
+    comp = compile_instance(spec)
+    ln = spec.block_length
+    opts = [block_optimum(bf, ln).value for bf in spec.blocks]
+    mask = (1 << ln) - 1
+    for x in range(1 << spec.n):
+        d = tuple(((x >> (i * ln) & mask) ^ o).bit_count()
+                  for i, o in enumerate(opts))
+        yield x.bit_count(), d, float(comp.f_from_values(comp.values_of(x)))
+
+
+def test_one_pass_exports_match_brute_force():
+    rnd = random.Random(2026)
+    zeros = 0
+    for _ in range(40):
+        spec = _random_spec(rnd)
+        by_k = [set() for _ in range(spec.n + 1)]
+        by_d = {}
+        for k, d, f in _by_string(spec):
+            # the oracles rely on this: a set or extremum never has to
+            # choose between 0.0 and -0.0, which compare equal
+            assert not (f == 0 and math.copysign(1.0, f) < 0), spec
+            zeros += f == 0
+            by_k[k].add(f)
+            by_d.setdefault(d, []).append(f)
+        got_k = ones_landscape(spec)
+        assert len(got_k) == spec.n + 1
+        for k, (got, want) in enumerate(zip(got_k, by_k)):
+            assert sorted(map(repr, got)) == sorted(map(repr, want)), (spec, k)
+            assert attainable_by_ones_count(spec, k) == got
+        rows = list(distance_landscape(spec))
+        ds = list(itertools.product(range(spec.block_length + 1),
+                                    repeat=spec.m))
+        assert [r[:spec.m] for r in rows] == ds
+        for row in rows:
+            d, got = row[:spec.m], row[spec.m:]
+            want = (min(by_d[d]), max(by_d[d]))
+            assert repr(got) == repr(want), (spec, d)
+            assert repr(attainable_by_distance(spec, d)) == repr(want)
+        every = [f for fs in by_k for f in fs]
+        assert repr(attainable_by_block_values(spec, {})) == repr(
+            (min(every), max(every)))
+    assert zeros > 0
 
 
 # -- bi-objective front oracle ------------------------------------------------

@@ -121,6 +121,32 @@ def test_gcp_le_gate_direction():
     assert hi.gates == (1.0, 0.0)
 
 
+def test_gcp_gate_dirs_given_as_strings():
+    # "ge" strings coerce to GateDir.GE, so the threshold 9 is clamped to
+    # the block maximum 4 and the second gate opens at the optimum
+    args = (8, (onemax(), onemax()), forward_path(2), (9, 0))
+    by_str = make_gcp(*args, gate_dirs=("ge", "ge"))
+    by_enum = make_gcp(*args, gate_dirs=(GateDir.GE, GateDir.GE))
+    assert by_str.gate_dirs == (GateDir.GE, GateDir.GE)
+    assert all(type(d) is GateDir for d in by_str.gate_dirs)
+    assert compile_instance(by_str).fv(0xFF) == (8, (4, 4))
+    assert compile_instance(by_str).fv(0xFF) == compile_instance(by_enum).fv(0xFF)
+    assert known_optimum(by_str) == 8.0
+    with pytest.raises(ValueError):
+        make_gcp(*args, gate_dirs=("ge", "up"))
+
+
+def test_validate_rejects_gate_dirs_not_gatedir():
+    spec = InstanceSpec(kind=Kind.GCP, n=8, m=2,
+                        blocks=(onemax(), onemax()),
+                        weights=(1, 1), constants=(0, 0),
+                        dependencies=forward_path(2), thresholds=(9, 0),
+                        gate_dirs=("ge", GateDir.GE))
+    assert any("GateDir" in p for p in validate_spec(spec))
+    with pytest.raises(ValueError):
+        compile_instance(spec)
+
+
 def test_gcp_threshold_clamping():
     # stored thresholds stay raw; gating clamps to the reachable range
     spec = make_suite_instance("F9", 40, 4)

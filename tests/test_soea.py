@@ -9,8 +9,8 @@ import pytest
 from blockbench.problems import known_optimum, make_dbp, make_suite_instance
 from blockbench.blocks import onemax
 from blockbench.rng import RandomSource
-from blockbench.soea import (SOConfig, VARIANTS, max_distance_pair,
-                             removal_index, run_single)
+from blockbench.soea import (SOConfig, VARIANTS, _far_pairs, _FarPairs,
+                             max_distance_pair, removal_index, run_single)
 
 ALL = tuple(VARIANTS)
 
@@ -180,6 +180,25 @@ def test_removal_preserves_max_distance():
         after = max((rest[i] ^ rest[j]).bit_count()
                     for i in range(4) for j in range(i + 1, 4))
         assert after == before
+
+
+def test_far_pairs_kept_current_equals_rescan():
+    # the (mu+1) GA's step: insert, protect a tied pair, remove another
+    rng = RandomSource(12)
+    for mu in range(2, 9):
+        xs = [rng.getrandbits(10) for _ in range(mu)]
+        far = _FarPairs(xs)
+        for _ in range(300):
+            y = rng.getrandbits(10) if rng.random() < 0.5 else xs[0] ^ 1
+            far.insert(xs, y)
+            xs.append(y)
+            assert (far.far, far.ties) == _far_pairs(xs)
+            protected = far.ties[rng.index_below(len(far.ties))]
+            fs = [float(rng.index_below(3)) for _ in xs]
+            ridx = removal_index(fs, protected, rng)
+            del xs[ridx]
+            far.remove(ridx)
+            assert (far.far, far.ties) == _far_pairs(xs)
 
 
 def test_mu_ga_small_budget_and_both_variants_solve_onemax():
