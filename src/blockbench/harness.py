@@ -77,7 +77,7 @@ TABLE2_ROWS = (
 TABLE2_COLUMNS = ("oll_ga", "ea", "two_rate", "var_ea", "fga")
 
 DEFAULT_BUDGET = 100_000
-LANDSCAPE_WORK_CAP = 5_000_000  # distance-axis combinations a landscape may take
+LANDSCAPE_WORK_CAP = 5_000_000  # block-value combinations a landscape export may visit
 
 
 class ConfigError(ValueError):
@@ -219,10 +219,12 @@ def load_config(path) -> ExperimentConfig:
     if not (isinstance(algos, list) and all(isinstance(a, str) for a in algos)):
         raise ConfigError(f"{path}: algos must be a list of algorithm names")
     algos = tuple(algos)
-    for a in algos:
+    for i, a in enumerate(algos):
         if a not in MULTI_RUNNERS:
             raise ConfigError(f"{path}: unknown multi-objective algo {a!r}; "
                               f"valid: {', '.join(MULTI_ORDER)}")
+        if a in algos[:i]:  # its runs would share one output directory
+            raise ConfigError(f"{path}: algos names {a!r} twice")
 
     runs = data.get("runs", 50)
     if not _is_int(runs) or runs < 1:
@@ -658,16 +660,50 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                   fix: int | None = None, svg: str | None = None) -> int:
     """Exact attainable-value export along one axis: 'ones' (objective
     values per ones-count), 'distance' (min/max per per-block distance
-    vector), or 'blocks' (min/max with one block pair pinned)."""
+    vector), or 'blocks' (min/max with one block pair pinned). Every
+    refusal, the work cap included, comes before any output is written."""
     try:
         spec = make_suite_instance(problem, n, m)
     except ValueError as exc:
         print(f"landscape: {exc}", file=sys.stderr)
         return 2
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    if axis not in ("ones", "distance", "blocks"):
+        print(f"landscape: unknown axis {axis!r}; "
+              f"valid: ones, distance, blocks", file=sys.stderr)
+        return 2
+    if axis == "blocks" and (fix is None or not 1 <= fix <= m):
+        print(f"landscape: blocks axis needs --fix in 1..{m}", file=sys.stderr)
+        return 2
+    if svg and axis == "blocks":
+        print("landscape: svg is supported for the ones and "
+              "distance axes", file=sys.stderr)
+        return 2
+    if svg and axis == "distance" and m != 2:
+        print("landscape: svg heatmap needs m=2 on this axis", file=sys.stderr)
+        return 2
     length = spec.block_length
     try:
+        _refuse_long_blocks(length)
+        if axis == "blocks":
+            sets = [sorted(block_values(bf, length)) for bf in spec.blocks]
+            # one query per value pair of block fix and each other block,
+            # over the product of the remaining blocks' values
+            work = (m - 1) * math.prod(len(s) for s in sets)
+        else:
+            profs = [block_profile(bf, length, axis) for bf in spec.blocks]
+            if axis == "ones":  # one pass over the distinct value vectors
+                work = math.prod(len(frozenset().union(*p.values()))
+                                 for p in profs)
+            else:  # every distance vector, over its largest value product
+                work = (length + 1) ** m * math.prod(
+                    max(len(s) for s in p.values()) for p in profs)
+        if work > LANDSCAPE_WORK_CAP:
+            print(f"landscape: {axis} axis needs about {work} combinations, "
+                  f"over the cap of {LANDSCAPE_WORK_CAP}; reduce n or m",
+                  file=sys.stderr)
+            return 2
+        out = Path(out)
+        out.parent.mkdir(parents=True, exist_ok=True)
         if axis == "ones":
             per_k = [sorted(fs) for fs in ones_landscape(spec)]
             _write_csv(out, ["k", "f"],
@@ -680,38 +716,17 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                     svg, xlabel="number of one-bits", ylabel="objective value",
                     title=f"{problem} n={n} m={m}")
         elif axis == "distance":
-            profs = [block_profile(bf, length, "distance")
-                     for bf in spec.blocks]
-            per_vec = 1
-            for p in profs:
-                per_vec *= max(len(s) for s in p.values())
-            combos = (length + 1) ** m
-            if combos * per_vec > LANDSCAPE_WORK_CAP:
-                print(f"landscape: distance axis needs about "
-                      f"{combos * per_vec} combinations, over the cap of "
-                      f"{LANDSCAPE_WORK_CAP}; reduce n or m", file=sys.stderr)
-                return 2
             rows = distance_landscape(spec)
             if svg:
                 rows = list(rows)
             _write_csv(out, [f"d{i + 1}" for i in range(m)]
                        + ["f_min", "f_max"], rows)
             if svg:
-                if m != 2:
-                    print("landscape: svg heatmap needs m=2 on this axis",
-                          file=sys.stderr)
-                    return 2
                 svgplot.heatmap_chart(
                     [(r[0], r[1], r[m + 1]) for r in rows], svg,
                     xlabel="distance in block 1", ylabel="distance in block 2",
                     title=f"{problem} n={n} m={m}: max objective")
-        elif axis == "blocks":
-            if fix is None or not 1 <= fix <= m:
-                print(f"landscape: blocks axis needs --fix in 1..{m}",
-                      file=sys.stderr)
-                return 2
-            _refuse_long_blocks(length)
-            sets = [sorted(block_values(bf, length)) for bf in spec.blocks]
+        else:
             fi = fix - 1
             memo: dict = {}  # f by block-value vector, shared by the queries
             rows = []
@@ -725,14 +740,6 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
                         rows.append((fix, u, j + 1, w, lo, hi))
             _write_csv(out, ["fixed_block", "fixed_value", "other_block",
                              "other_value", "f_min", "f_max"], rows)
-            if svg:
-                print("landscape: svg is supported for the ones and "
-                      "distance axes", file=sys.stderr)
-                return 2
-        else:
-            print(f"landscape: unknown axis {axis!r}; "
-                  f"valid: ones, distance, blocks", file=sys.stderr)
-            return 2
     except ValueError as exc:
         print(f"landscape: {exc}", file=sys.stderr)
         return 2

@@ -18,14 +18,20 @@ hitting evaluation index is recorded separately):
 * run_mu_ga: (mu+1) GA with optional crossover and optional diversity
   preservation (the farthest pair is protected from removal).
 
-Solvers work on raw backing integers internally and wrap the best
-solution in a BitString only in the returned RunResult.
+Each run_<variant> is built by _runner from a private generator (_ea,
+..., _mu_ga): _runner checks the config, compiles the instance and
+exhausts the generator on a fresh _Recorder. The generator draws its
+initial sample, yields its strategy state once per generation (r for
+two_rate, r and c for var_ea, lam for oll_ga, else {}) and returns when
+rec.done, so iterating it observes a run generation by generation.
+Solvers work on raw backing integers; the best solution becomes a
+BitString only in the returned RunResult.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Container
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
 
 from .bitstring import BitString
@@ -178,17 +184,31 @@ class _Recorder:
         )
 
 
-def run_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
-           trace=None) -> RunResult:
+def _runner(steps):
+    """The public run_<variant> of a generator: check cfg, compile the
+    instance, exhaust steps(cfg, rec, rng) on a fresh _Recorder and
+    return its result."""
+
+    def run(cfg: SOConfig, problem: InstanceSpec, budget: int, target,
+            rng: RandomSource) -> RunResult:
+        cfg.check(problem.n)
+        rec = _Recorder(compile_instance(problem), budget, target)
+        for _ in steps(cfg, rec, rng):
+            pass
+        return rec.result()
+
+    run.__name__ = run.__qualname__ = "run" + steps.__name__
+    run.__doc__ = steps.__doc__
+    return run
+
+
+def _ea(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+lambda) EA with a fixed mutation rate; the next parent is drawn
     uniformly from the argmax of {parent} + offspring."""
-    cfg.check(problem.n)
-    comp = compile_instance(problem)
-    n = comp.n
+    n = rec.n
     p = cfg.p if cfg.p is not None else 1.0 / n
     pm = rng.positions_mask
     bp = rng.binomial_positive
-    rec = _Recorder(comp, budget, target)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
 
     def mutate(i):
@@ -197,21 +217,17 @@ def run_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Rando
     while not rec.done:
         fx, won = rec.breed(cfg.lam, mutate, fx, [(x, -1)])
         x = won[rng.index_below(len(won))][0]
-    return rec.result()
+        yield {}
 
 
-def run_fga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
-            trace=None) -> RunResult:
+def _fga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+1) EA with heavy-tailed flip counts on [1, n/2]; ties with the
     parent are broken uniformly."""
-    cfg.check(problem.n)
-    comp = compile_instance(problem)
-    n = comp.n
+    n = rec.n
     half = n // 2
     beta = cfg.beta
     pm = rng.positions_mask
     pl = rng.power_law
-    rec = _Recorder(comp, budget, target)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
 
     def mutate(i):
@@ -221,21 +237,17 @@ def run_fga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Rand
     while not rec.done:
         fx, won = rec.breed(1, mutate, fx, [(x, -1)])
         x = won[rng.index_below(len(won))][0]
-    return rec.result()
+        yield {}
 
 
-def run_two_rate(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
-                 trace=None) -> RunResult:
+def _two_rate(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+lambda) EA with a self-adjusting rate split across two halves."""
-    cfg.check(problem.n)
-    comp = compile_instance(problem)
-    n = comp.n
+    n = rec.n
     pm = rng.positions_mask
     bp = rng.binomial_positive
     lam = cfg.lam
     half = lam // 2
     r_hi = max(2.0, n / 4)
-    rec = _Recorder(comp, budget, target)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     r = 2.0
 
@@ -253,27 +265,21 @@ def run_two_rate(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng:
             r = max(r / 2, 2.0)
         else:
             r = min(2 * r, r_hi)
-        if trace is not None:
-            trace.append({"r": r})
-    return rec.result()
+        yield {"r": r}
 
 
-def run_var_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
-               trace=None) -> RunResult:
+def _var_ea(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+lambda) EA with gaussian flip counts and shrinking variance.
 
     The variance F^c * r * (1 - r/n) collapses while the winning flip
     count keeps confirming the current rate r; any deviation, or n
     evaluations without strict improvement, resets the counter c.
     """
-    cfg.check(problem.n)
-    comp = compile_instance(problem)
-    n = comp.n
+    n = rec.n
     pm = rng.positions_mask
     pni = rng.positive_normal_int
     lam = cfg.lam
     fdamp = cfg.f_var
-    rec = _Recorder(comp, budget, target)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     r = 2.0
     c = 0
@@ -295,22 +301,16 @@ def run_var_ea(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
         if rec.evals - max(rec.last_improve, last_reset) >= n:
             c = 0
             last_reset = rec.evals
-        if trace is not None:
-            trace.append({"r": r, "c": c})
-    return rec.result()
+        yield {"r": r, "c": c}
 
 
-def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
-               trace=None) -> RunResult:
+def _oll_ga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+(lambda,lambda)) GA with self-adjusting real-valued lambda."""
-    cfg.check(problem.n)
-    comp = compile_instance(problem)
-    n = comp.n
+    n = rec.n
     pm = rng.positions_mask
     bp = rng.binomial_positive
     fstep = cfg.f_oll
     gain = fstep ** 0.25
-    rec = _Recorder(comp, budget, target)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     lam = float(min(cfg.lam, n))
 
@@ -329,7 +329,7 @@ def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
         bias = 1.0 / lam
         best_c, crossed = rec.breed(k, cross)
         if not crossed:  # the mutation phase spent the budget
-            break
+            return
         ystar = crossed[rng.index_below(len(crossed))][0]
         if best_c > fx:
             x, fx = ystar, best_c
@@ -339,9 +339,7 @@ def run_oll_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: R
             lam = min(lam * gain, float(n))
         else:
             lam = min(lam * gain, float(n))
-        if trace is not None:
-            trace.append({"lam": lam})
-    return rec.result()
+        yield {"lam": lam}
 
 
 # -- (mu+1) GA ------------------------------------------------------------
@@ -414,19 +412,15 @@ def removal_index(fs: list[float], protected: Container[int], rng: RandomSource)
     return cand[rng.index_below(len(cand))]
 
 
-def run_mu_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: RandomSource,
-              trace=None) -> RunResult:
+def _mu_ga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(mu+1) GA: uniform parent choice, optional uniform crossover,
     per-bit mutation at 1/n, remove one worst (diversity variant first
     protects one farthest pair, ties uniform)."""
-    cfg.check(problem.n)
-    comp = compile_instance(problem)
-    n = comp.n
+    n = rec.n
     pm = rng.positions_mask
     g = rng.getrandbits
     p_c = cfg.p_c
     pbit = 1.0 / n
-    rec = _Recorder(comp, budget, target)
     xs: list[int] = []
     fs: list[float] = []
     for _ in range(cfg.mu):
@@ -462,24 +456,20 @@ def run_mu_ga(cfg: SOConfig, problem: InstanceSpec, budget: int, target, rng: Ra
         del fs[ridx]
         if far is not None:
             far.remove(ridx)  # the protected pair stays, so far holds
-    return rec.result()
+        yield {}
 
 
-SINGLE_RUNNERS = {
-    "ea": run_ea,
-    "fga": run_fga,
-    "two_rate": run_two_rate,
-    "var_ea": run_var_ea,
-    "oll_ga": run_oll_ga,
-    "mu_ga": run_mu_ga,
-}
+SINGLE_RUNNERS = {steps.__name__[1:]: _runner(steps) for steps in
+                  (_ea, _fga, _two_rate, _var_ea, _oll_ga, _mu_ga)}
+run_ea, run_fga, run_two_rate, run_var_ea, run_oll_ga, run_mu_ga = (
+    SINGLE_RUNNERS.values())
 
 
 _OPTIMUM = object()  # run_single's default target: the known optimum
 
 
 def run_single(cfg: SOConfig, problem: InstanceSpec, budget: int, rng: RandomSource,
-               target: float | None = _OPTIMUM, trace=None) -> RunResult:
+               target: float | None = _OPTIMUM) -> RunResult:
     """Dispatch on cfg.variant. target defaults to the known optimum
     (computed here, per call); None means no target, and the run spends
     its whole budget."""
@@ -488,4 +478,4 @@ def run_single(cfg: SOConfig, problem: InstanceSpec, budget: int, rng: RandomSou
                          f"choose from {sorted(SINGLE_RUNNERS)}")
     if target is _OPTIMUM:
         target = known_optimum(problem)
-    return SINGLE_RUNNERS[cfg.variant](cfg, problem, budget, target, rng, trace=trace)
+    return SINGLE_RUNNERS[cfg.variant](cfg, problem, budget, target, rng)

@@ -521,6 +521,29 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
            "bi run failed: boom")
     expect(["landscape", "--problem", "F99", "--axis", "ones", "--n", "8",
             "-o", str(tmp_path / "scan.csv")], 2, "unknown instance id 'F99'")
+    # every landscape refusal, the work cap on each axis included, comes
+    # before any output is written
+    scan = tmp_path / "scan"
+    big = ["--problem", "F1", "--n", "40", "--m", "20"]
+    for argv, message in (
+            (["--problem", "F9", "--axis", "distance", "--n", "16", "--m",
+              "4", "--svg", str(scan / "d.svg")], "svg heatmap needs m=2"),
+            (["--problem", "F9", "--axis", "blocks", "--fix", "1", "--n",
+              "16", "--m", "4", "--svg", str(scan / "b.svg")],
+             "svg is supported for the ones and distance axes"),
+            (big + ["--axis", "ones"],
+             "ones axis needs about 3486784401 combinations"),
+            (big + ["--axis", "blocks", "--fix", "1"],
+             "blocks axis needs about 66248903619 combinations"),
+            (big + ["--axis", "distance"],
+             "distance axis needs about 3486784401 combinations")):
+        expect(["landscape", "-o", str(scan / "out.csv")] + argv, 2, message)
+    assert not scan.exists()
+    dup = write_config(tmp_path, "dup.json", problem="BF1", n=4, runs=2,
+                       algos=["semo", "semo"])
+    expect(["bi", "-c", str(dup), "-o", str(tmp_path / "dup")], 2,
+           "algos names 'semo' twice")
+    assert not (tmp_path / "dup").exists()
     expect(["plot", str(tmp_path / "absent.csv"), "-o",
             str(tmp_path / "p.svg")], 2, "plot:")
     # bad arguments and knob values exit 2 before any run starts

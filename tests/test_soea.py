@@ -6,17 +6,28 @@ import statistics
 
 import pytest
 
-from blockbench.problems import known_optimum, make_dbp, make_suite_instance
+from blockbench import soea
+from blockbench.problems import (compile_instance, known_optimum, make_dbp,
+                                 make_suite_instance)
 from blockbench.blocks import onemax
 from blockbench.rng import RandomSource
 from blockbench.soea import (SOConfig, VARIANTS, _far_pairs, _FarPairs,
-                             max_distance_pair, removal_index, run_single)
+                             _Recorder, max_distance_pair, removal_index,
+                             run_single)
 
 ALL = tuple(VARIANTS)
 
 
 def cfg_for(variant):
     return SOConfig(variant=variant)
+
+
+def steps(variant, spec, budget, seed, target):
+    """A fresh recorder and the variant's generator working on it."""
+    rec = _Recorder(compile_instance(spec), budget, target)
+    gen = getattr(soea, "_" + variant)(cfg_for(variant), rec,
+                                        RandomSource(seed))
+    return rec, gen
 
 
 # -- shared run semantics -----------------------------------------------------
@@ -100,13 +111,38 @@ def test_none_target_means_no_target(monkeypatch):
     assert res.hit_target
 
 
+# -- the generators behind the runners ----------------------------------------
+
+STATE_KEYS = {"ea": set(), "fga": set(), "two_rate": {"r"},
+              "var_ea": {"r", "c"}, "oll_ga": {"lam"}, "mu_ga": set()}
+
+
+@pytest.mark.parametrize("variant", ALL)
+def test_generator_contract(variant):
+    """Exhausting a generator leaves its recorder done, and the result is
+    the one run_<variant> returns on the same seed."""
+    spec = make_suite_instance("F5", 16, 4)
+    run = getattr(soea, "run_" + variant)
+    assert soea.SINGLE_RUNNERS[variant] is run
+    cases = [(budget, None) for budget in (1, 2, 3, 7, 60)]
+    cases.append((20_000, known_optimum(spec)))  # hit long before the budget
+    for budget, target in cases:
+        rec, gen = steps(variant, spec, budget, 1, target)
+        states = list(gen)
+        assert rec.done, (variant, budget)
+        assert all(set(s) == STATE_KEYS[variant] for s in states)
+        if target is not None:
+            assert rec.hit_index is not None and rec.evals < budget
+        assert rec.result() == run(cfg_for(variant), spec, budget, target,
+                                   RandomSource(1))
+
+
 # -- per-variant control traces ----------------------------------------------
 
 
 def test_two_rate_rate_bounds_and_steps():
     spec = make_suite_instance("F1", 20, 1)
-    trace = []
-    run_single(cfg_for("two_rate"), spec, 4000, RandomSource(8), trace=trace)
+    trace = list(steps("two_rate", spec, 4000, 8, known_optimum(spec))[1])
     assert trace
     r_hi = max(2.0, 20 / 4)
     prev = 2.0
@@ -119,8 +155,7 @@ def test_two_rate_rate_bounds_and_steps():
 
 def test_var_ea_counter_steps():
     spec = make_suite_instance("F4", 20, 2)
-    trace = []
-    run_single(cfg_for("var_ea"), spec, 4000, RandomSource(8), trace=trace)
+    trace = list(steps("var_ea", spec, 4000, 8, known_optimum(spec))[1])
     assert trace
     prev_c = 0
     for row in trace:
@@ -131,8 +166,7 @@ def test_var_ea_counter_steps():
 
 def test_oll_lambda_stays_in_range():
     spec = make_suite_instance("F3", 20, 2)
-    trace = []
-    run_single(cfg_for("oll_ga"), spec, 6000, RandomSource(8), trace=trace)
+    trace = list(steps("oll_ga", spec, 6000, 8, known_optimum(spec))[1])
     assert trace
     assert all(1.0 <= row["lam"] <= 20.0 for row in trace)
 
