@@ -400,6 +400,13 @@ def _write_so_meta(outdir: Path, metas) -> None:
                rows)
 
 
+def _failure(exc: Exception) -> str:
+    """The exception's type name, and its text when it has one (a
+    MemoryError has none)."""
+    text = str(exc)
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+
+
 def cmd_run(cfg: ExperimentConfig, workers: int = 1) -> int:
     """Execute cfg.runs independent single-objective runs; write per-run
     CSV logs, runs_meta.csv, and summary.json. Returns an exit code."""
@@ -415,7 +422,7 @@ def cmd_run(cfg: ExperimentConfig, workers: int = 1) -> int:
     try:
         metas = _map_tasks(_so_worker, tasks, workers)
     except Exception as exc:  # noqa: BLE001 - partial results stay on disk
-        print(f"run failed: {exc}; partial results kept in {outdir}",
+        print(f"run failed: {_failure(exc)}; partial results kept in {outdir}",
               file=sys.stderr)
         return 1
     _write_so_meta(outdir, metas)
@@ -474,7 +481,8 @@ def cmd_bi(cfg: ExperimentConfig, workers: int = 1) -> int:
     try:
         metas = _map_tasks(_bi_worker, tasks, workers)
     except Exception as exc:  # noqa: BLE001 - partial results stay on disk
-        print(f"bi run failed: {exc}; partial results kept in {outdir}",
+        print(f"bi run failed: {_failure(exc)}; partial results kept in "
+              f"{outdir}",
               file=sys.stderr)
         return 1
     comparison = {}

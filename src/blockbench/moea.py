@@ -292,13 +292,11 @@ def _semo_like(inst: BiObjectiveInstance, budget: int, rng: RandomSource,
     run = _MoRun(inst, budget)
     n = run.n
     run.evaluate(rng.getrandbits(n))
-    pm = rng.positions_mask
-    bp = rng.binomial_positive
-    p = 1.0 / n
+    flip_mask = rng.mask_sampler(n, "binomial_positive", n, 1.0 / n)
     while run.evals < budget:
         x = run.archive.pick_value(rng)
         if global_mutation:
-            y = x ^ pm(n, bp(n, p))
+            y = x ^ flip_mask()
         else:
             y = x ^ (1 << rng.index_below(n))
         run.evaluate(y)
@@ -331,8 +329,7 @@ def _generational(inst: BiObjectiveInstance, pop_size: int, budget: int,
         raise ValueError("pop_size must be >= 2")
     run = _MoRun(inst, budget)
     n = run.n
-    p_bit = 1.0 / n
-    pm = rng.positions_mask
+    flip_mask = rng.mask_sampler(n, "binomial", n, 1.0 / n)
     g = rng.getrandbits
     pop: list[int] = []
     objs: list[Pair] = []
@@ -359,9 +356,7 @@ def _generational(inst: BiObjectiveInstance, pop_size: int, budget: int,
                 child = (pop[a] & ~mask) | (pop[b] & mask)
             else:
                 child = pop[a]
-            flips = rng.binomial(n, p_bit)
-            if flips:
-                child ^= pm(n, flips)
+            child ^= flip_mask()
             objs.append(run.evaluate(child))
             pop.append(child)
         kept = environmental_selection(objs, pop_size, rng, metric=metric,
@@ -408,8 +403,7 @@ def run_moead(inst: BiObjectiveInstance, pop_size: int, budget: int,
         raise ValueError("pop_size must be >= 2")
     run = _MoRun(inst, budget)
     n = run.n
-    p_bit = 1.0 / n
-    pm = rng.positions_mask
+    flip_mask = rng.mask_sampler(n, "binomial", n, 1.0 / n)
     weights = [(i / (mu - 1), 1.0 - i / (mu - 1)) for i in range(mu)]
     t_size = max(2, math.ceil(mu / 10))
     neigh = []
@@ -434,8 +428,7 @@ def run_moead(inst: BiObjectiveInstance, pop_size: int, budget: int,
         for i in range(len(xs)):
             if run.evals >= budget:
                 break
-            flips = rng.binomial(n, p_bit)
-            y = xs[i] ^ pm(n, flips) if flips else xs[i]
+            y = xs[i] ^ flip_mask()
             fy = run.evaluate(y)
             if fy[0] > z1:
                 z1 = fy[0]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 from .bitstring import BitString
 from .problems import InstanceSpec, compile_instance, known_optimum
@@ -207,12 +208,11 @@ def _ea(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     uniformly from the argmax of {parent} + offspring."""
     n = rec.n
     p = cfg.p if cfg.p is not None else 1.0 / n
-    pm = rng.positions_mask
-    bp = rng.binomial_positive
+    flip_mask = rng.mask_sampler(n, "binomial_positive", n, p)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
 
     def mutate(i):
-        return x ^ pm(n, bp(n, p))
+        return x ^ flip_mask()
 
     while not rec.done:
         fx, won = rec.breed(cfg.lam, mutate, fx, [(x, -1)])
@@ -224,14 +224,11 @@ def _fga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+1) EA with heavy-tailed flip counts on [1, n/2]; ties with the
     parent are broken uniformly."""
     n = rec.n
-    half = n // 2
-    beta = cfg.beta
-    pm = rng.positions_mask
-    pl = rng.power_law
+    flip_mask = rng.mask_sampler(n, "power_law", n // 2, cfg.beta)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
 
     def mutate(i):
-        return x ^ pm(n, pl(half, beta))
+        return x ^ flip_mask()
 
     # follows the (1+1) scheme regardless of cfg.lam
     while not rec.done:
@@ -243,19 +240,20 @@ def _fga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
 def _two_rate(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     """(1+lambda) EA with a self-adjusting rate split across two halves."""
     n = rec.n
-    pm = rng.positions_mask
-    bp = rng.binomial_positive
     lam = cfg.lam
     half = lam // 2
     r_hi = max(2.0, n / 4)
     fx, [(x, _)] = rec.breed(1, lambda i: rng.getrandbits(n))
     r = 2.0
+    # r only doubles and halves within [2, r_hi]: a few rates per run
+    sampler = cache(lambda rate: rng.mask_sampler(n, "binomial_positive", n, rate))
 
     def mutate(i):
-        rate = r / (2 * n) if i < half else min(1.0, 2 * r / n)
-        return x ^ pm(n, bp(n, rate))
+        return x ^ (low() if i < half else high())
 
     while not rec.done:
+        low = sampler(r / (2 * n))
+        high = sampler(min(1.0, 2 * r / n))
         best, won = rec.breed(lam, mutate)
         wy, wi = won[rng.index_below(len(won))]
         if best >= fx:
@@ -284,7 +282,7 @@ def _var_ea(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     r = 2.0
     c = 0
     last_reset = 0
-    flips = [0] * lam  # flip count drawn for offspring i
+    flips = [0] * min(lam, rec.budget)  # flip count drawn for offspring i
 
     def mutate(i):
         flips[i] = l = pni(r, var, n)
@@ -318,7 +316,7 @@ def _oll_ga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
         return x ^ pm(n, ell)
 
     def cross(i):
-        mask = pm(n, bp(n, bias))
+        mask = cross_mask()
         return (x & ~mask) | (xstar & mask)
 
     while not rec.done:
@@ -326,7 +324,7 @@ def _oll_ga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
         ell = bp(n, min(1.0, lam / n))
         _, mutants = rec.breed(k, mutate)
         xstar = mutants[rng.index_below(len(mutants))][0]
-        bias = 1.0 / lam
+        cross_mask = rng.mask_sampler(n, "binomial_positive", n, 1.0 / lam)
         best_c, crossed = rec.breed(k, cross)
         if not crossed:  # the mutation phase spent the budget
             return
@@ -417,10 +415,9 @@ def _mu_ga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
     per-bit mutation at 1/n, remove one worst (diversity variant first
     protects one farthest pair, ties uniform)."""
     n = rec.n
-    pm = rng.positions_mask
     g = rng.getrandbits
     p_c = cfg.p_c
-    pbit = 1.0 / n
+    flip_mask = rng.mask_sampler(n, "binomial", n, 1.0 / n)
     xs: list[int] = []
     fs: list[float] = []
     for _ in range(cfg.mu):
@@ -439,8 +436,7 @@ def _mu_ga(cfg: SOConfig, rec: _Recorder, rng: RandomSource) -> Iterator[dict]:
                 j += 1
             mask = g(n)
             base = (base & ~mask) | (xs[j] & mask)
-        flips = rng.binomial(n, pbit)
-        return base ^ pm(n, flips) if flips else base
+        return base ^ flip_mask()
 
     far = _FarPairs(xs) if cfg.diversity else None
     protected = ()

@@ -513,12 +513,20 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     so = write_config(tmp_path, "so.json", problem="F1", n=8, runs=1)
     monkeypatch.setattr(harness, "run_single", boom)
     expect(["run", "-c", str(so), "-o", str(tmp_path / "so")], 1,
-           "run failed: boom")
+           "run failed: RuntimeError: boom")
     bi = write_config(tmp_path, "bi.json", problem="BF1", n=4, runs=1,
                       algos=["gsemo"])
     monkeypatch.setitem(MULTI_RUNNERS, "gsemo", boom)
     expect(["bi", "-c", str(bi), "-o", str(tmp_path / "bi")], 1,
-           "bi run failed: boom")
+           "bi run failed: RuntimeError: boom")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    # an exception without text is still named
+    monkeypatch.setitem(MULTI_RUNNERS, "gsemo", out_of_memory)
+    expect(["bi", "-c", str(bi), "-o", str(tmp_path / "bi")], 1,
+           "bi run failed: MemoryError; partial results kept in")
     expect(["landscape", "--problem", "F99", "--axis", "ones", "--n", "8",
             "-o", str(tmp_path / "scan.csv")], 2, "unknown instance id 'F99'")
     # every landscape refusal, the work cap on each axis included, comes

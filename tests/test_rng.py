@@ -2,7 +2,7 @@
 
 The samplers are validated against closed-form pmfs (chi-square
 goodness of fit, scipy) and against naive rejection oracles implemented
-inline, so a regression in the inverse-CDF walks cannot hide.
+inline, so a regression in the inverse-CDF tables cannot hide.
 """
 
 import math

@@ -5,13 +5,21 @@ first eight results of one sampler on one seed and then the next 64
 Twister bits: a change that returns the same values but consumes a
 different number of words moves that tail. Values wider than 64 bits
 are pinned by a sha256 prefix of their decimal form.
+
+The prepared mask samplers are checked against the two calls they
+stand for, and the binomial table search against the CDF walk it
+replaced, which stays here as the reference.
 """
 
 import hashlib
+import math
+import random
+from bisect import bisect_left
 
 import pytest
 
-from blockbench.rng import RandomSource
+from blockbench.rng import (RandomSource, _binomial_table, _BinomialTable,
+                           _power_law_cdf)
 
 
 def _pin(v: int):
@@ -92,3 +100,175 @@ def test_sampler_stream_is_pinned(name, args, seed, draws, tail):
     fn = getattr(src, name)
     assert [_pin(fn(*args)) for _ in range(8)] == draws
     assert src.getrandbits(64) == tail
+
+
+# (law, mask n, law params): the table path, each early exit and the
+# laws drawn by the two calls themselves
+PREPARED = [
+    ("binomial_positive", 40, (40, 1 / 40)),
+    ("binomial_positive", 40, (40, 0.3)),
+    ("binomial_positive", 2, (2, 0.5)),
+    ("binomial_positive", 1, (1, 0.5)),
+    ("binomial_positive", 40, (40, 1.0)),
+    ("binomial_positive", 4000, (4000, 1 / 4000)),
+    ("binomial_positive", 4000, (4000, 0.5)),
+    ("binomial", 40, (40, 1 / 40)),
+    ("binomial", 12, (12, 0.3)),
+    ("binomial", 2, (2, 0.5)),
+    ("binomial", 1, (1, 0.5)),
+    ("binomial", 40, (40, 0.0)),
+    ("binomial", 40, (40, 1.0)),
+    ("binomial", 40, (0, 0.3)),
+    ("binomial", 4000, (4000, 1 / 4000)),
+    ("binomial", 4000, (4000, 0.5)),
+    ("power_law", 40, (20, 1.5)),
+    ("power_law", 40, (1, 1.5)),
+    ("power_law", 2, (1, 1.5)),
+    ("power_law", 2, (2, 1.5)),
+    ("power_law", 40, (10, 3.0)),
+    ("power_law", 4000, (2000, 1.5)),
+]
+
+
+@pytest.mark.parametrize("law,n,params", PREPARED,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in PREPARED])
+def test_prepared_draw_equals_the_two_calls(law, n, params):
+    a, b = RandomSource(2718), RandomSource(2718)
+    draw = a.mask_sampler(n, law, *params)
+    count = getattr(b, law)
+    for _ in range(300):
+        assert draw() == b.positions_mask(n, count(*params))
+        assert a.getrandbits(5) == b.getrandbits(5)  # same position
+    assert a.getrandbits(64) == b.getrandbits(64)
+
+
+def test_prepared_draw_rejects_what_the_two_calls_reject():
+    src = RandomSource(3)
+    with pytest.raises(ValueError, match="unknown mask law"):
+        src.mask_sampler(40, "gaussian", 40, 0.5)
+    for law, n, params in [("binomial_positive", 40, (40, 0.0)),
+                           ("binomial_positive", 40, (0, 0.5)),
+                           ("power_law", 40, (0, 1.5))]:
+        draw = src.mask_sampler(n, law, *params)
+        with pytest.raises(ValueError):
+            draw()
+    # a count above the mask length fails in positions_mask, as it would
+    draw = src.mask_sampler(3, "binomial_positive", 10, 0.9)
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        draw()
+
+
+# -- the table search against the inversion walk it replaced ---------------
+
+
+def walk_binomial(n, p, u):
+    """The first k with u <= P(X <= k), walking the CDF from 0; n if none
+    below n. This is the walk RandomSource.binomial used before its
+    table, kept as the reference."""
+    q = 1.0 - p
+    ratio = p / q
+    pmf = q ** n
+    cdf = pmf
+    k = 0
+    while u > cdf and k < n:
+        k += 1
+        pmf *= ratio * (n - k + 1) / k
+        cdf += pmf
+    return k
+
+
+def walk_binomial_positive(n, p, u):
+    """The same walk from k = 1, as binomial_positive used it."""
+    q = 1.0 - p
+    ratio = p / q
+    pmf = q ** n
+    cdf = pmf
+    k = 0
+    while k < n - 1:
+        k += 1
+        pmf *= ratio * (n - k + 1) / k
+        cdf += pmf
+        if u <= cdf:
+            return k
+    return n
+
+
+def _rates(r: random.Random):
+    yield 1 / r.randint(1, 300)
+    yield r.random()
+    yield r.choice([1e-9, 0.5, 0.9, 1 - 1e-9])
+
+
+def test_table_search_equals_the_walk():
+    r = random.Random(8)
+    for _ in range(150):
+        n = r.choice([1, 2, 3, r.randint(4, 60), r.randint(61, 700)])
+        for p in _rates(r):
+            if not 0.0 < p < 1.0:
+                continue
+            full = _BinomialTable(n, p)
+            full.grow(2.0)
+            c = full.c
+            assert len(c) == n
+            us = [r.random() for _ in range(20)] + [0.0, 1.0]
+            for k in range(0, n, max(1, n // 50)):
+                # u on and beside each entry: the search is u <= c[k],
+                # and equal entries resolve to the first k
+                us += [c[k], math.nextafter(c[k], 0.0),
+                       math.nextafter(c[k], 2.0)]
+            shared = _BinomialTable(n, p)  # grown by the draws in turn
+            for u in us:
+                want = walk_binomial(n, p, u)
+                assert shared.count(u, 0) == want, (n, p, u)
+                assert _BinomialTable(n, p).count(u, 0) == want, (n, p, u)
+                assert bisect_left(c, u) == want, (n, p, u)
+                want = walk_binomial_positive(n, p, u)
+                assert shared.count(u, 1) == want, (n, p, u)
+                assert _BinomialTable(n, p).count(u, 1) == want, (n, p, u)
+
+
+def test_table_grows_only_as_far_as_a_draw_needs():
+    n, p = 10 ** 6, 1e-6
+    _binomial_table.cache_clear()
+    src = RandomSource(4)
+    k = src.binomial_positive(n, p)
+    assert len(_binomial_table(n, p).c) <= 8 and k < 8
+    src.mask_sampler(n, "binomial", n, p)()
+    assert len(_binomial_table(n, p).c) <= 8
+
+
+def _near(r: float) -> list[float]:
+    """r and its three neighbouring floats on each side, inside [0, 1)."""
+    out, lo, hi = [r], r, r
+    for _ in range(3):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        out += [lo, hi]
+    return [x for x in out if 0.0 <= x < 1.0]
+
+
+@pytest.mark.parametrize("law,params", [("binomial", (40, 1 / 40)),
+                                        ("binomial_positive", (40, 1 / 40)),
+                                        ("binomial_positive", (12, 0.3)),
+                                        ("power_law", (20, 1.5))])
+def test_prepared_draw_on_table_boundaries(law, params):
+    # random() is stubbed on both twins with values that put u on and
+    # beside the table entries, where u <= c[k] decides the count
+    if law == "power_law":
+        c = _power_law_cdf(*params)
+        a, b = 0.0, c[-1]
+    else:
+        c = _BinomialTable(*params)
+        c.grow(2.0)
+        c = c.c
+        a, b = (0.0, 1.0) if law == "binomial" else (c[0], 1.0 - c[0])
+    rs = [r for k in range(min(len(c), 12)) for r in _near((c[k] - a) / b)]
+    us = {a + b * r for r in rs}
+    assert sum(c[k] in us for k in range(1, min(len(c), 12))) >= 5
+    n = params[0] if law != "power_law" else 40
+    twins = RandomSource(5), RandomSource(5)
+    for src in twins:
+        src.random = iter(rs).__next__
+    draw = twins[0].mask_sampler(n, law, *params)
+    count = getattr(twins[1], law)
+    for _ in rs:
+        assert draw() == twins[1].positions_mask(n, count(*params))

@@ -3,6 +3,7 @@ parameters, the (mu+1) GA's removal helpers, and hitting-time sanity."""
 
 import math
 import statistics
+import tracemalloc
 
 import pytest
 
@@ -162,6 +163,22 @@ def test_var_ea_counter_steps():
         assert 1 <= row["r"] <= 20
         assert row["c"] in (0, prev_c + 1)
         prev_c = row["c"]
+
+
+def test_var_ea_memory_follows_the_budget_not_lam():
+    # var_ea keeps one flip count per offspring it can evaluate: lam 10^7
+    # under a budget of 50 must not allocate a list of 10^7 slots
+    spec = make_suite_instance("F1", 40, 1)
+    cfg = SOConfig(variant="var_ea", lam=10 ** 7)
+    run_single(cfg, spec, 50, RandomSource(1))  # compile and cache first
+    tracemalloc.start()
+    try:
+        res = run_single(cfg, spec, 50, RandomSource(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations_used == 50
+    assert peak < 1 << 20
 
 
 def test_oll_lambda_stays_in_range():
