@@ -101,6 +101,19 @@ def _distance(tmp):
             "--m", "4", "-o", str(tmp / "out" / "distance.csv")]
 
 
+def _distance_svg(tmp):
+    (tmp / "out").mkdir()
+    return ["landscape", "--problem", "F9", "--axis", "distance", "--n", "16",
+            "--m", "2", "-o", str(tmp / "out" / "distance.csv"),
+            "--svg", str(tmp / "out" / "distance.svg")]
+
+
+def _blocks(tmp):
+    (tmp / "out").mkdir()
+    return ["landscape", "--problem", "F9", "--axis", "blocks", "--n", "16",
+            "--m", "4", "--fix", "2", "-o", str(tmp / "out" / "blocks.csv")]
+
+
 CASES = {f"run-{v}": _run_variant(v) for v in VARIANTS}
 CASES.update({"table2": _table2, "bi-BF4": _bi("BF4", 5),
               # pop_size 8 truncates the critical front in most generations,
@@ -114,7 +127,9 @@ CASES.update({"table2": _table2, "bi-BF4": _bi("BF4", 5),
               "run-mu_ga-diversity": _run_variant("mu_ga", diversity=True),
               "run-ea-gcp-le": _run_inline("gcp-le", "ea", 11),
               "run-two_rate-dbp-neg": _run_inline("dbp-neg", "two_rate", 13),
-              "landscape-F9-distance": _distance})
+              "landscape-F9-distance": _distance,
+              "landscape-F9-distance-svg": _distance_svg,
+              "landscape-F9-blocks": _blocks})
 
 
 def digest(case: str, tmp: Path) -> str:
