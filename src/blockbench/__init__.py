@@ -27,7 +27,7 @@ from .problems import (Kind, GateDir, InstanceSpec, Evaluation,
 from .landscape import (exhaustive_optimum, block_profile,
                         attainable_by_distance, attainable_by_block_values,
                         attainable_by_ones_count, distance_landscape,
-                        ones_landscape, pareto_front_oracle)
+                        blocks_landscape, ones_landscape, pareto_front_oracle)
 from .soea import (SOConfig, RunResult, VARIANTS, SINGLE_RUNNERS, run_single,
                    run_ea, run_fga, run_two_rate, run_var_ea, run_oll_ga,
                    run_mu_ga)
@@ -55,7 +55,8 @@ __all__ = [
     "spec_to_json", "spec_from_json",
     "exhaustive_optimum", "block_profile", "attainable_by_distance",
     "attainable_by_block_values", "attainable_by_ones_count",
-    "distance_landscape", "ones_landscape", "pareto_front_oracle",
+    "distance_landscape", "blocks_landscape", "ones_landscape",
+    "pareto_front_oracle",
     "SOConfig", "RunResult", "VARIANTS", "SINGLE_RUNNERS", "run_single",
     "run_ea", "run_fga", "run_two_rate", "run_var_ea", "run_oll_ga",
     "run_mu_ga",

@@ -33,10 +33,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import svgplot
-from .blocks import block_values
-from .landscape import (_refuse_long_blocks, attainable_by_block_values,
-                        block_profile, distance_landscape, ones_landscape)
+from . import landscape, svgplot
 from .moea import MULTI_RUNNERS
 from .problems import (BiObjectiveInstance, InstanceSpec, biobjective_ids,
                        known_optimum, make_biobjective, make_suite_instance,
@@ -77,7 +74,6 @@ TABLE2_ROWS = (
 TABLE2_COLUMNS = ("oll_ga", "ea", "two_rate", "var_ea", "fga")
 
 DEFAULT_BUDGET = 100_000
-LANDSCAPE_WORK_CAP = 5_000_000  # block-value combinations a landscape export may visit
 
 
 class ConfigError(ValueError):
@@ -672,82 +668,30 @@ def cmd_landscape(problem: str, axis: str, n: int, m: int, out,
     refusal, the work cap included, comes before any output is written."""
     try:
         spec = make_suite_instance(problem, n, m)
-    except ValueError as exc:
-        print(f"landscape: {exc}", file=sys.stderr)
-        return 2
-    if axis not in ("ones", "distance", "blocks"):
-        print(f"landscape: unknown axis {axis!r}; "
-              f"valid: ones, distance, blocks", file=sys.stderr)
-        return 2
-    if axis == "blocks" and (fix is None or not 1 <= fix <= m):
-        print(f"landscape: blocks axis needs --fix in 1..{m}", file=sys.stderr)
-        return 2
-    if svg and axis == "blocks":
-        print("landscape: svg is supported for the ones and "
-              "distance axes", file=sys.stderr)
-        return 2
-    if svg and axis == "distance" and m != 2:
-        print("landscape: svg heatmap needs m=2 on this axis", file=sys.stderr)
-        return 2
-    length = spec.block_length
-    try:
-        _refuse_long_blocks(length)
-        if axis == "blocks":
-            sets = [sorted(block_values(bf, length)) for bf in spec.blocks]
-            # one query per value pair of block fix and each other block,
-            # over the product of the remaining blocks' values
-            work = (m - 1) * math.prod(len(s) for s in sets)
-        else:
-            profs = [block_profile(bf, length, axis) for bf in spec.blocks]
-            if axis == "ones":  # one pass over the distinct value vectors
-                work = math.prod(len(frozenset().union(*p.values()))
-                                 for p in profs)
-            else:  # every distance vector, over its largest value product
-                work = (length + 1) ** m * math.prod(
-                    max(len(s) for s in p.values()) for p in profs)
-        if work > LANDSCAPE_WORK_CAP:
-            print(f"landscape: {axis} axis needs about {work} combinations, "
-                  f"over the cap of {LANDSCAPE_WORK_CAP}; reduce n or m",
-                  file=sys.stderr)
-            return 2
+        if axis == "blocks" and (fix is None or not 1 <= fix <= m):
+            raise ValueError(f"blocks axis needs --fix in 1..{m}")
+        if svg and axis == "blocks":
+            raise ValueError("svg is supported for the ones and distance axes")
+        if svg and axis == "distance" and m != 2:
+            raise ValueError("svg heatmap needs m=2 on this axis")
+        header, rows = landscape.export(spec, axis, fix)
         out = Path(out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        if axis == "ones":
-            per_k = [sorted(fs) for fs in ones_landscape(spec)]
-            _write_csv(out, ["k", "f"],
-                       ((k, f) for k, fs in enumerate(per_k) for f in fs))
-            if svg:
-                svgplot.scatter_chart(
-                    [(spec.name or problem,
-                      [k for k, fs in enumerate(per_k) for _ in fs],
-                      [f for fs in per_k for f in fs])],
-                    svg, xlabel="number of one-bits", ylabel="objective value",
-                    title=f"{problem} n={n} m={m}")
-        elif axis == "distance":
-            rows = distance_landscape(spec)
-            if svg:
-                rows = list(rows)
-            _write_csv(out, [f"d{i + 1}" for i in range(m)]
-                       + ["f_min", "f_max"], rows)
-            if svg:
-                svgplot.heatmap_chart(
-                    [(r[0], r[1], r[m + 1]) for r in rows], svg,
-                    xlabel="distance in block 1", ylabel="distance in block 2",
-                    title=f"{problem} n={n} m={m}: max objective")
-        else:
-            fi = fix - 1
-            memo: dict = {}  # f by block-value vector, shared by the queries
-            rows = []
-            for j in range(m):
-                if j == fi:
-                    continue
-                for u in sets[fi]:
-                    for w in sets[j]:
-                        lo, hi = attainable_by_block_values(
-                            spec, {fi: u, j: w}, memo)
-                        rows.append((fix, u, j + 1, w, lo, hi))
-            _write_csv(out, ["fixed_block", "fixed_value", "other_block",
-                             "other_value", "f_min", "f_max"], rows)
+        if svg:
+            rows = list(rows)
+        _write_csv(out, header, rows)
+        title = f"{problem} n={n} m={m}"
+        if svg and axis == "ones":
+            svgplot.scatter_chart(
+                [(spec.name or problem, [k for k, _ in rows],
+                  [f for _, f in rows])],
+                svg, xlabel="number of one-bits", ylabel="objective value",
+                title=title)
+        elif svg:
+            svgplot.heatmap_chart(
+                [(r[0], r[1], r[3]) for r in rows], svg,
+                xlabel="distance in block 1", ylabel="distance in block 2",
+                title=f"{title}: max objective")
     except ValueError as exc:
         print(f"landscape: {exc}", file=sys.stderr)
         return 2

@@ -28,12 +28,15 @@ __all__ = [
     "attainable_by_block_values",
     "attainable_by_ones_count",
     "distance_landscape",
+    "blocks_landscape",
     "ones_landscape",
+    "export",
     "pareto_front_oracle",
 ]
 
 SCAN_LIMIT = 24      # full 2^n scans refuse beyond this
 PROFILE_LIMIT = 20   # per-block enumerations refuse beyond this
+LANDSCAPE_WORK_CAP = 5_000_000  # block-value combinations an export may visit
 
 
 def _lexkey(v: int, n: int) -> int:
@@ -108,11 +111,9 @@ def _extrema(agg, value_sets, memo: dict) -> tuple[float, float]:
     return lo, hi
 
 
-def attainable_by_distance(spec: InstanceSpec, distances,
-                           memo: dict | None = None) -> tuple[float, float]:
+def attainable_by_distance(spec: InstanceSpec, distances) -> tuple[float, float]:
     """Extrema of f over all x whose block i sits at Hamming distance
-    distances[i] from block i's optimum. memo (V -> f, for this spec
-    only) lets repeated queries share aggregations."""
+    distances[i] from block i's optimum."""
     ln = spec.block_length
     distances = tuple(distances)
     if len(distances) != spec.m:
@@ -122,8 +123,7 @@ def attainable_by_distance(spec: InstanceSpec, distances,
             raise ValueError(f"distance {d} out of range 0..{ln}")
     sets = [block_profile(bf, ln, "distance")[d]
             for bf, d in zip(spec.blocks, distances)]
-    return _extrema(compile_instance(spec).f_from_values, sets,
-                    {} if memo is None else memo)
+    return _extrema(compile_instance(spec).f_from_values, sets, {})
 
 
 def distance_landscape(spec: InstanceSpec):
@@ -138,27 +138,51 @@ def distance_landscape(spec: InstanceSpec):
         yield d + _extrema(agg, [p[x] for p, x in zip(profiles, d)], memo)
 
 
-def attainable_by_block_values(spec: InstanceSpec, fixed: dict[int, int],
-                               memo: dict | None = None) -> tuple[float, float]:
-    """Extrema of f with some block values pinned; free blocks range
-    over their full attainable sets (blocks.block_values). memo as in
-    attainable_by_distance."""
-    comp = compile_instance(spec)
+def _pinned(spec: InstanceSpec, fixed: dict[int, int]) -> list:
+    """Per block, (fixed[i],) if pinned, else every value it attains
+    (blocks.block_values); a pin names a block and one of its values."""
     ln = spec.block_length
     _refuse_long_blocks(ln)
-    full = [block_values(bf, ln) for bf in spec.blocks]
     sets = []
-    for i in range(spec.m):
+    for i, bf in enumerate(spec.blocks):
+        values = block_values(bf, ln)
         if i in fixed:
-            if fixed[i] not in full[i]:
+            if fixed[i] not in values:
                 raise ValueError(f"value {fixed[i]} not attainable for block {i}")
             sets.append((fixed[i],))
         else:
-            sets.append(full[i])
+            sets.append(values)
     unknown = set(fixed) - set(range(spec.m))
     if unknown:
         raise ValueError(f"no such blocks: {sorted(unknown)}")
-    return _extrema(comp.f_from_values, sets, {} if memo is None else memo)
+    return sets
+
+
+def attainable_by_block_values(spec: InstanceSpec,
+                               fixed: dict[int, int]) -> tuple[float, float]:
+    """Extrema of f with some block values pinned; free blocks range
+    over their full attainable sets (blocks.block_values)."""
+    return _extrema(compile_instance(spec).f_from_values,
+                    _pinned(spec, fixed), {})
+
+
+def blocks_landscape(spec: InstanceSpec, fix: int):
+    """(fix, u, j, w, f_min, f_max) for block fix (1-based) pinned to u
+    and each other block j to w, every value pair ascending, as a
+    generator: attainable_by_block_values of each pair, one memo for all."""
+    if not 1 <= fix <= spec.m:
+        raise ValueError(f"block {fix} out of range 1..{spec.m}")
+    tables = _pinned(spec, {})
+    agg = compile_instance(spec).f_from_values
+    memo: dict = {}
+    fi = fix - 1
+    for j in range(spec.m):
+        if j == fi:
+            continue
+        for u in sorted(tables[fi]):
+            for w in sorted(tables[j]):
+                yield (fix, u, j + 1, w) + _extrema(
+                    agg, _pinned(spec, {fi: u, j: w}), memo)
 
 
 def ones_landscape(spec: InstanceSpec) -> list[frozenset[float]]:
@@ -216,6 +240,36 @@ def attainable_by_ones_count(spec: InstanceSpec, k: int) -> frozenset[float]:
     if not 0 <= k <= spec.n:
         raise ValueError(f"ones-count {k} out of range 0..{spec.n}")
     return ones_landscape(spec)[k]
+
+
+def export(spec: InstanceSpec, axis: str, fix: int | None = None):
+    """(header, rows) of the export along axis 'ones' (ones_landscape as
+    (k, f) rows), 'distance' or 'blocks' (blocks_landscape of block fix).
+    Every refusal of the spec comes before the return, the work over
+    LANDSCAPE_WORK_CAP, counted from the tables the export reads, last."""
+    ln, m = spec.block_length, spec.m
+    if axis == "blocks":  # a query per pin pair, over the other blocks' values
+        work = (m - 1) * math.prod(map(len, _pinned(spec, {})))
+        header = ["fixed_block", "fixed_value", "other_block", "other_value"]
+    elif axis in ("ones", "distance"):
+        profs = [block_profile(bf, ln, axis) for bf in spec.blocks]
+        if axis == "ones":  # one pass over the distinct value vectors
+            work = math.prod(len(frozenset().union(*p.values())) for p in profs)
+        else:  # every distance vector, over its largest value product
+            work = (ln + 1) ** m * math.prod(max(map(len, p.values()))
+                                             for p in profs)
+            header = [f"d{i + 1}" for i in range(m)]
+    else:
+        raise ValueError(f"unknown axis {axis!r}; valid: ones, distance, blocks")
+    if work > LANDSCAPE_WORK_CAP:
+        raise ValueError(f"{axis} axis needs about {work} combinations, "
+                         f"over the cap of {LANDSCAPE_WORK_CAP}; reduce n or m")
+    if axis == "ones":
+        return ["k", "f"], ((k, f) for k, fs in enumerate(ones_landscape(spec))
+                            for f in sorted(fs))
+    rows = (distance_landscape(spec) if axis == "distance"
+            else blocks_landscape(spec, fix))
+    return header + ["f_min", "f_max"], rows
 
 
 def pareto_front_oracle(inst: BiObjectiveInstance) -> list[tuple[tuple[float, float], BitString]]:

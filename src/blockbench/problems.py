@@ -23,6 +23,7 @@ integers for the solver hot loops.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import weakref
@@ -319,7 +320,9 @@ class CompiledInstance:
 
     def __init__(self, spec: InstanceSpec):
         _raise_if_invalid(spec)
-        self.spec = spec
+        # a copy: the shared evaluator cache must not keep the caller's
+        # spec alive, or its id entry would never leave
+        self.spec = spec = copy.copy(spec)
         self.n = spec.n
         m = self.m = spec.m
         ln = spec.block_length
@@ -361,20 +364,26 @@ class CompiledInstance:
         return Evaluation(float(f), V, self.gates_from_values(V))
 
 
-_BY_REPR: dict[str, object] = {}  # evaluators, shared by equal-repr objects
+_BY_REPR: dict[str, object] = {}  # recently used evaluators, oldest first
+_BY_REPR_LIMIT = 256
 _BY_ID: dict[int, object] = {}    # an entry leaves when its object dies
 
 
 def _evaluator(obj, build):
     """build(obj), found by obj's id on later calls. Equal-repr objects
-    share one; specs that compare equal but differ in a number's type or
-    in the sign of a zero differ in repr, so each gets its own."""
+    share one while it is among the _BY_REPR_LIMIT most recently looked
+    up by repr; specs that compare equal but differ in a number's type
+    or in the sign of a zero differ in repr, so each gets its own."""
     ev = _BY_ID.get(id(obj))
     if ev is None:
         key = repr(obj)
-        if key not in _BY_REPR:
-            _BY_REPR[key] = build(obj)
-        ev = _BY_ID[id(obj)] = _BY_REPR[key]
+        ev = _BY_REPR.pop(key, None)
+        if ev is None:
+            ev = build(obj)
+        if len(_BY_REPR) >= _BY_REPR_LIMIT:
+            del _BY_REPR[next(iter(_BY_REPR))]
+        _BY_REPR[key] = ev
+        _BY_ID[id(obj)] = ev
         weakref.finalize(obj, _BY_ID.pop, id(obj))
     return ev
 

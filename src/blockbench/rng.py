@@ -12,11 +12,14 @@ isolation.
 A binomial table holds the cumulative masses that walking the CDF from
 0 would add up, in the walk's operation order, and is grown only as far
 as a draw needs; a search returns the walk's k from the same single
-random(). :meth:`RandomSource.mask_sampler` prepares the solvers'
-mutation draw, a flip mask of binomial or power-law size, once per law:
-each of its draws returns what positions_mask(n, <law>(...)) returns
-and consumes the same Twister words in the same order, so a solver that
-switches to it keeps its stream and every artifact byte.
+random(). Where the mass at 0, q ** n, underflows to 0.0 the walk would
+add up nothing, so such a table starts at the first mass that is a
+normal double instead, and the masses below it count as 0.0.
+:meth:`RandomSource.mask_sampler` prepares the solvers' mutation draw,
+a flip mask of binomial or power-law size, once per law: each of its
+draws returns what positions_mask(n, <law>(...)) returns and consumes
+the same Twister words in the same order, so a solver that switches to
+it keeps its stream and every artifact byte.
 
 Integer-only streams (bits, masks, inversion samplers) depend only on
 the Twister and are reproducible across platforms; the gaussian sampler
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_left
 from collections.abc import Callable
 from functools import lru_cache
@@ -73,6 +77,9 @@ class _BinomialTable:
         self.ratio = p / q
         self.pmf = q ** n
         self.c = [self.pmf]
+        if not self.pmf:
+            k, self.pmf = _first_normal_mass(n, p)
+            self.c = [0.0] * k + [self.pmf]
         self.grow(0.0)
 
     def grow(self, u: float) -> None:
@@ -96,6 +103,27 @@ class _BinomialTable:
         if u > self.c[-1]:
             self.grow(u)
         return bisect_left(self.c, u, lo)
+
+
+def _first_normal_mass(n: int, p: float) -> tuple[int, float]:
+    """(k, P(X = k)) of Binomial(n, p) for the first k < n whose mass is
+    at least the smallest normal double, by bisection on the rising side
+    of the mass function; for tables whose mass at 0 underflows."""
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+
+    def log_mass(k: int) -> float:
+        return (log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                + k * log_p + (n - k) * log_q)
+
+    floor = math.log(sys.float_info.min)
+    lo, hi = 0, min(n - 1, int((n + 1) * p))  # the mode, or n - 1
+    while hi - lo > 1:  # log_mass(lo) < floor, and hi is the candidate
+        mid = (lo + hi) // 2
+        if log_mass(mid) < floor:
+            lo = mid
+        else:
+            hi = mid
+    return hi, math.exp(log_mass(hi))
 
 
 # bounded: oll_ga asks for a new rate every generation

@@ -59,6 +59,26 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return out or [lo, hi]
 
 
+_PLOT_BORDER = (f'<rect x="{ML}" y="{MT}" width="{WIDTH - ML - MR}" '
+                f'height="{HEIGHT - MT - MB}" fill="none" stroke="#333333"/>')
+
+
+def _labels(xlabel: str, ylabel: str, title: str) -> list[str]:
+    """The x-label, y-label and title elements; empty ones are left out."""
+    parts = []
+    if xlabel:
+        parts.append(f'<text x="{(ML + WIDTH - MR) // 2}" y="{HEIGHT - 14}" '
+                     f'font-size="13" text-anchor="middle" fill="#333333">{_esc(xlabel)}</text>')
+    if ylabel:
+        parts.append(f'<text x="18" y="{(MT + HEIGHT - MB) // 2}" font-size="13" '
+                     f'text-anchor="middle" fill="#333333" '
+                     f'transform="rotate(-90 18 {(MT + HEIGHT - MB) // 2})">{_esc(ylabel)}</text>')
+    if title:
+        parts.append(f'<text x="{WIDTH // 2}" y="26" font-size="15" '
+                     f'text-anchor="middle" fill="#111111">{_esc(title)}</text>')
+    return parts
+
+
 class _Frame:
     """Data-to-pixel mapping plus the axes/grid/labels boilerplate."""
 
@@ -88,8 +108,7 @@ class _Frame:
         return HEIGHT - MB - frac * (HEIGHT - MB - MT)
 
     def axes(self, xlabel: str, ylabel: str, title: str) -> list[str]:
-        parts = [f'<rect x="{ML}" y="{MT}" width="{WIDTH - ML - MR}" '
-                 f'height="{HEIGHT - MT - MB}" fill="none" stroke="#333333"/>']
+        parts = [_PLOT_BORDER]
         xticks = (_log_ticks(self.x_lo, self.x_hi) if self.logx
                   else _nice_ticks(self._xl, self._xh))
         for t in xticks:
@@ -106,17 +125,7 @@ class _Frame:
                          f'text-anchor="end" fill="#333333">{_fmt(t)}</text>')
             parts.append(f'<line x1="{ML}" y1="{_fmt(y)}" x2="{WIDTH - MR}" '
                          f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="0.5"/>')
-        if xlabel:
-            parts.append(f'<text x="{(ML + WIDTH - MR) // 2}" y="{HEIGHT - 14}" '
-                         f'font-size="13" text-anchor="middle" fill="#333333">{_esc(xlabel)}</text>')
-        if ylabel:
-            parts.append(f'<text x="18" y="{(MT + HEIGHT - MB) // 2}" font-size="13" '
-                         f'text-anchor="middle" fill="#333333" '
-                         f'transform="rotate(-90 18 {(MT + HEIGHT - MB) // 2})">{_esc(ylabel)}</text>')
-        if title:
-            parts.append(f'<text x="{WIDTH // 2}" y="26" font-size="15" '
-                         f'text-anchor="middle" fill="#111111">{_esc(title)}</text>')
-        return parts
+        return parts + _labels(xlabel, ylabel, title)
 
 
 def _legend(labels: list[str]) -> list[str]:
@@ -198,6 +207,10 @@ def _heat_color(frac: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _tick_label(v) -> str:
+    return _esc(_fmt(v) if isinstance(v, (int, float)) else v)
+
+
 def heatmap_chart(cells, path, *, xlabel="", ylabel="", title=""):
     """cells: list of (x, y, value) over a discrete grid; missing cells
     stay white."""
@@ -212,8 +225,7 @@ def heatmap_chart(cells, path, *, xlabel="", ylabel="", title=""):
     yi = {v: i for i, v in enumerate(ys)}
     cw = (WIDTH - ML - MR) / len(xs)
     ch = (HEIGHT - MT - MB) / len(ys)
-    body = [f'<rect x="{ML}" y="{MT}" width="{WIDTH - ML - MR}" '
-            f'height="{HEIGHT - MT - MB}" fill="none" stroke="#333333"/>']
+    body = [_PLOT_BORDER]
     for x, y, v in cells:
         px = ML + xi[x] * cw
         py = HEIGHT - MB - (yi[y] + 1) * ch
@@ -224,23 +236,13 @@ def heatmap_chart(cells, path, *, xlabel="", ylabel="", title=""):
         if i % step_x:
             continue
         body.append(f'<text x="{_fmt(ML + (i + 0.5) * cw)}" y="{HEIGHT - MB + 16}" '
-                    f'font-size="10" text-anchor="middle" fill="#333333">{_esc(_fmt(v) if isinstance(v, (int, float)) else v)}</text>')
+                    f'font-size="10" text-anchor="middle" fill="#333333">{_tick_label(v)}</text>')
     step_y = max(1, len(ys) // 12)
     for i, v in enumerate(ys):
         if i % step_y:
             continue
         body.append(f'<text x="{ML - 6}" y="{_fmt(HEIGHT - MB - (i + 0.5) * ch + 3)}" '
-                    f'font-size="10" text-anchor="end" fill="#333333">{_esc(_fmt(v) if isinstance(v, (int, float)) else v)}</text>')
+                    f'font-size="10" text-anchor="end" fill="#333333">{_tick_label(v)}</text>')
     body.append(f'<text x="{WIDTH - MR}" y="{MT - 8}" font-size="11" text-anchor="end" '
                 f'fill="#333333">range {_fmt(v_lo)} to {_fmt(v_hi)}</text>')
-    if xlabel:
-        body.append(f'<text x="{(ML + WIDTH - MR) // 2}" y="{HEIGHT - 14}" '
-                    f'font-size="13" text-anchor="middle" fill="#333333">{_esc(xlabel)}</text>')
-    if ylabel:
-        body.append(f'<text x="18" y="{(MT + HEIGHT - MB) // 2}" font-size="13" '
-                    f'text-anchor="middle" fill="#333333" '
-                    f'transform="rotate(-90 18 {(MT + HEIGHT - MB) // 2})">{_esc(ylabel)}</text>')
-    if title:
-        body.append(f'<text x="{WIDTH // 2}" y="26" font-size="15" '
-                    f'text-anchor="middle" fill="#111111">{_esc(title)}</text>')
-    return _document(body, path)
+    return _document(body + _labels(xlabel, ylabel, title), path)

@@ -1,5 +1,6 @@
 """Exhaustive scans and compositional attainability oracles."""
 
+import inspect
 import itertools
 import math
 import random
@@ -9,11 +10,14 @@ import pytest
 from blockbench.bitstring import BitString
 from blockbench.blocks import (block_optimum, epistasis, jump, leadingones,
                                onemax)
-from blockbench.landscape import (attainable_by_block_values,
+from blockbench import landscape
+from blockbench.landscape import (LANDSCAPE_WORK_CAP,
+                                  attainable_by_block_values,
                                   attainable_by_distance,
                                   attainable_by_ones_count, block_profile,
-                                  distance_landscape, exhaustive_optimum,
-                                  ones_landscape, pareto_front_oracle)
+                                  blocks_landscape, distance_landscape,
+                                  exhaustive_optimum, export, ones_landscape,
+                                  pareto_front_oracle)
 from blockbench.problems import (BiObjectiveInstance, GateDir,
                                  compile_instance, evaluate_bi, known_optimum,
                                  make_biobjective, make_dbp, make_gcp,
@@ -163,6 +167,51 @@ def test_attainable_by_block_values_refuses_long_blocks():
     spec = make_dbp(42, (onemax(), jump(3)))
     with pytest.raises(ValueError, match="refusing block enumeration"):
         attainable_by_block_values(spec, {})
+
+
+def test_blocks_landscape_is_one_query_per_pin_pair():
+    spec = make_suite_instance("F9", 12, 3)
+    rows = list(blocks_landscape(spec, 2))
+    values = [sorted(frozenset().union(*block_profile(bf, 4, "ones").values()))
+              for bf in spec.blocks]
+    want = [(2, u, j + 1, w)
+            for j in (0, 2) for u in values[1] for w in values[j]]
+    assert [r[:4] for r in rows] == want
+    for fix, u, j, w, lo, hi in rows:
+        got = attainable_by_block_values(spec, {fix - 1: u, j - 1: w})
+        assert repr((lo, hi)) == repr(got)
+    with pytest.raises(ValueError, match="out of range"):
+        next(blocks_landscape(spec, 4))
+
+
+def test_export_headers_rows_and_refusals():
+    spec = make_suite_instance("F9", 8, 2)
+    header, rows = export(spec, "ones")
+    assert header == ["k", "f"]
+    assert list(rows) == [(k, f) for k, fs in enumerate(ones_landscape(spec))
+                          for f in sorted(fs)]
+    header, rows = export(spec, "distance")
+    assert header == ["d1", "d2", "f_min", "f_max"]
+    assert list(rows) == list(distance_landscape(spec))
+    header, rows = export(spec, "blocks", 1)
+    assert header[:4] == ["fixed_block", "fixed_value", "other_block",
+                          "other_value"]
+    assert list(rows) == list(blocks_landscape(spec, 1))
+    with pytest.raises(ValueError, match="unknown axis 'parity'"):
+        export(spec, "parity")
+    big = make_suite_instance("F1", 40, 20)
+    for axis in ("ones", "distance", "blocks"):
+        with pytest.raises(ValueError, match=f"cap of {LANDSCAPE_WORK_CAP}"):
+            export(big, axis, 1)
+    with pytest.raises(ValueError, match="refusing block enumeration"):
+        export(make_dbp(42, (onemax(), jump(3))), "blocks", 1)
+
+
+def test_no_public_function_takes_a_memo():
+    for name in landscape.__all__:
+        obj = getattr(landscape, name)
+        if callable(obj):
+            assert "memo" not in inspect.signature(obj).parameters, name
 
 
 def test_attainable_by_ones_count():

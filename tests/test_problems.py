@@ -612,6 +612,34 @@ def test_equal_specs_of_other_number_types_compile_apart():
               CompiledInstance(b).fv(v))
 
 
+def test_evaluator_cache_lets_dropped_specs_go():
+    import gc
+
+    from blockbench import problems
+    gc.collect()
+    ids = len(problems._BY_ID)  # specs other tests still hold
+    keep = make_dbp(8, (onemax(), jump(2)), weights=(1, -1))
+    ev = compile_instance(keep)
+    for i in range(2000):
+        spec = make_dbp(8, (onemax(), jump(2)), weights=(1, 2 + i))
+        assert compile_instance(spec).spec == spec
+    del spec
+    gc.collect()
+    assert len(problems._BY_REPR) <= problems._BY_REPR_LIMIT
+    assert len(problems._BY_ID) == ids + 1  # keep's entry
+    # a live spec keeps its evaluator, evicted by repr or not
+    assert compile_instance(keep) is ev
+    # an equal spec compiled later shares the evaluator of the first
+    a = make_dbp(8, (onemax(), jump(2)), weights=(3, 5))
+    ev = compile_instance(a)
+    del a
+    gc.collect()
+    assert compile_instance(make_dbp(8, (onemax(), jump(2)),
+                                     weights=(3, 5))) is ev
+    inst = make_biobjective("BF1", 8, 2)
+    assert compile_bi(inst) is compile_bi(make_biobjective("BF1", 8, 2))
+
+
 def test_fused_evaluator_equals_both_objectives():
     rnd = random.Random(911)
     insts = [make_biobjective(pid, n, m) for pid in biobjective_ids()

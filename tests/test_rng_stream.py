@@ -8,12 +8,15 @@ are pinned by a sha256 prefix of their decimal form.
 
 The prepared mask samplers are checked against the two calls they
 stand for, and the binomial table search against the CDF walk it
-replaced, which stays here as the reference.
+replaced, which stays here as the reference wherever the mass at 0 is
+nonzero. Where it underflows the walk returned n on every draw; there
+the draws are checked against the law's mean instead.
 """
 
 import hashlib
 import math
 import random
+import sys
 from bisect import bisect_left
 
 import pytest
@@ -39,9 +42,9 @@ PINS = [
     ("binomial", (5, 0.0), 105, [0] * 8, 0x97611f4ee0cb1e6b),
     ("binomial", (1, 0.5), 106, [1, 1, 0, 1, 1, 0, 1, 1], 0xcf49795d300da1d1),
     ("binomial", (4000, 1 / 4000), 107, [0, 1, 3, 1, 1, 0, 0, 5], 0x1fb9b808c11bc1bf),
-    # 0.5 ** 4000 underflows to 0.0, so every cumulative value is 0.0
-    # and inversion runs to n; pinned as the stream stands
-    ("binomial", (4000, 0.5), 108, [4000] * 8, 0xb6100e5a33b6f994),
+    # 0.5 ** 4000 underflows to 0.0: the table starts at the first
+    # normal mass, and the draws sit near the mean, 2000
+    ("binomial", (4000, 0.5), 108, [1964, 2028, 2037, 1991, 1981, 1973, 1956, 1975], 0xb6100e5a33b6f994),
     ("binomial_positive", (40, 1 / 40), 201, [1, 1, 1, 1, 2, 2, 1, 2], 0x7b71191573762fca),
     ("binomial_positive", (10, 0.1), 202, [2, 2, 1, 1, 2, 3, 1, 2], 0xe62db17f093c6d79),
     ("binomial_positive", (40, 0.5), 203, [16, 23, 21, 17, 22, 21, 23, 21], 0x5ae2c94b927cc6b),
@@ -49,7 +52,7 @@ PINS = [
     ("binomial_positive", (1, 0.5), 204, [1] * 8, 0x69be4ba7f7a178ec),
     ("binomial_positive", (5, 1.0), 205, [5] * 8, 0x7b5568426f35f0bb),
     ("binomial_positive", (4000, 1 / 4000), 206, [1, 1, 2, 2, 3, 4, 1, 1], 0x2209323886ed4999),
-    ("binomial_positive", (4000, 0.5), 207, [4000] * 8, 0x15c97960d9420435),
+    ("binomial_positive", (4000, 0.5), 207, [2000, 2014, 2033, 1976, 1969, 2014, 1988, 2016], 0x15c97960d9420435),
     ("positions_mask", (40, 0), 301, [0] * 8, 0xa04459fe661380f3),
     ("positions_mask", (40, 40), 302, [(1 << 40) - 1] * 8, 0x8eb7ae2ff7179bf4),
     ("positions_mask", (40, 1), 303,
@@ -204,8 +207,8 @@ def test_table_search_equals_the_walk():
     for _ in range(150):
         n = r.choice([1, 2, 3, r.randint(4, 60), r.randint(61, 700)])
         for p in _rates(r):
-            if not 0.0 < p < 1.0:
-                continue
+            if not 0.0 < p < 1.0 or (1.0 - p) ** n == 0.0:
+                continue  # underflow: see test_underflowing_table_*
             full = _BinomialTable(n, p)
             full.grow(2.0)
             c = full.c
@@ -225,6 +228,42 @@ def test_table_search_equals_the_walk():
                 want = walk_binomial_positive(n, p, u)
                 assert shared.count(u, 1) == want, (n, p, u)
                 assert _BinomialTable(n, p).count(u, 1) == want, (n, p, u)
+
+
+# z bound fixed before looking at the draws: |z| > 4 has probability
+# about 6e-5 under the law
+Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("law", ["binomial", "binomial_positive"])
+@pytest.mark.parametrize("n,p", [(4000, 0.5), (1100, 0.5), (2000, 0.45)])
+def test_underflowing_table_draws_have_the_law_mean(law, n, p):
+    assert (1.0 - p) ** n == 0.0
+    src = RandomSource(19)
+    draws = 2000
+    total = sum(getattr(src, law)(n, p) for _ in range(draws))
+    # the mass at 0 is below 1e-300, so conditioning on X > 0 moves
+    # neither the mean nor the variance
+    z = (total / draws - n * p) / math.sqrt(n * p * (1 - p) / draws)
+    assert abs(z) < Z_BOUND, z
+    draw = src.mask_sampler(n, law, n, p)
+    total = sum(draw().bit_count() for _ in range(draws))
+    z = (total / draws - n * p) / math.sqrt(n * p * (1 - p) / draws)
+    assert abs(z) < Z_BOUND, z
+
+
+def test_underflowing_table_starts_at_the_first_normal_mass():
+    for n, p in [(4000, 0.5), (100, 1 - 1e-9), (5000, 0.9)]:
+        t = _BinomialTable(n, p)
+        t.grow(2.0)
+        k0 = next(k for k, x in enumerate(t.c) if x)
+        assert 0 < k0 < n and len(t.c) == n
+        assert sys.float_info.min <= t.c[k0]
+        log_mass = (math.lgamma(n + 1) - math.lgamma(k0) - math.lgamma(n - k0 + 2)
+                    + (k0 - 1) * math.log(p) + (n - k0 + 1) * math.log1p(-p))
+        assert log_mass < math.log(sys.float_info.min)  # k0 - 1 is below it
+        # P(X <= n - 1) is 1 - p ** n
+        assert t.c[-1] == pytest.approx(1 - p ** n, rel=1e-9, abs=1e-12)
 
 
 def test_table_grows_only_as_far_as_a_draw_needs():
