@@ -172,15 +172,15 @@ def blocks_landscape(spec: InstanceSpec, fix: int):
     generator: attainable_by_block_values of each pair, one memo for all."""
     if not 1 <= fix <= spec.m:
         raise ValueError(f"block {fix} out of range 1..{spec.m}")
-    tables = _pinned(spec, {})
+    values = [sorted(t) for t in _pinned(spec, {})]
     agg = compile_instance(spec).f_from_values
     memo: dict = {}
     fi = fix - 1
     for j in range(spec.m):
         if j == fi:
             continue
-        for u in sorted(tables[fi]):
-            for w in sorted(tables[j]):
+        for u in values[fi]:
+            for w in values[j]:
                 yield (fix, u, j + 1, w) + _extrema(
                     agg, _pinned(spec, {fi: u, j: w}), memo)
 
@@ -250,7 +250,6 @@ def export(spec: InstanceSpec, axis: str, fix: int | None = None):
     ln, m = spec.block_length, spec.m
     if axis == "blocks":  # a query per pin pair, over the other blocks' values
         work = (m - 1) * math.prod(map(len, _pinned(spec, {})))
-        header = ["fixed_block", "fixed_value", "other_block", "other_value"]
     elif axis in ("ones", "distance"):
         profs = [block_profile(bf, ln, axis) for bf in spec.blocks]
         if axis == "ones":  # one pass over the distinct value vectors
@@ -258,18 +257,19 @@ def export(spec: InstanceSpec, axis: str, fix: int | None = None):
         else:  # every distance vector, over its largest value product
             work = (ln + 1) ** m * math.prod(max(map(len, p.values()))
                                              for p in profs)
-            header = [f"d{i + 1}" for i in range(m)]
     else:
         raise ValueError(f"unknown axis {axis!r}; valid: ones, distance, blocks")
     if work > LANDSCAPE_WORK_CAP:
         raise ValueError(f"{axis} axis needs about {work} combinations, "
                          f"over the cap of {LANDSCAPE_WORK_CAP}; reduce n or m")
-    if axis == "ones":
+    if axis == "ones":  # ones_landscape runs here, the rows are lazy
         return ["k", "f"], ((k, f) for k, fs in enumerate(ones_landscape(spec))
                             for f in sorted(fs))
-    rows = (distance_landscape(spec) if axis == "distance"
-            else blocks_landscape(spec, fix))
-    return header + ["f_min", "f_max"], rows
+    if axis == "distance":
+        return ([f"d{i + 1}" for i in range(m)] + ["f_min", "f_max"],
+                distance_landscape(spec))
+    return (["fixed_block", "fixed_value", "other_block", "other_value",
+             "f_min", "f_max"], blocks_landscape(spec, fix))
 
 
 def pareto_front_oracle(inst: BiObjectiveInstance) -> list[tuple[tuple[float, float], BitString]]:
